@@ -17,6 +17,7 @@ __all__ = [
     "apply_inverse_permutation",
     "apply_permutation",
     "gaussian_solve",
+    "mat_invert",
     "mat_mul",
     "mat_rank",
     "mat_vec_mul",
@@ -181,25 +182,36 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return BitMatrix(a.nrows, b.ncols, out)
 
 
-def mat_rank(mat: BitMatrix) -> int:
-    rows = [r for r in mat.rows if r]
-    rank = 0
-    for col in range(mat.ncols):
+def _echelon(rows: list, ncols: int) -> list:
+    """Gauss-Jordan on the low ncols bits of rows, in place.
+
+    Column by column, the first row at or below the next pivot slot with
+    that bit set becomes the pivot and clears the bit from every other
+    row; bits from ncols up ride along.  Returns the pivot columns in
+    row order, so their count is the rank.
+    """
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
         mask = 1 << col
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i] & mask:
-                pivot = i
+        for pivot in range(rank, len(rows)):
+            if rows[pivot] & mask:
                 break
-        if pivot is None:
+        else:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         prow = rows[rank]
         for i in range(len(rows)):
             if i != rank and rows[i] & mask:
                 rows[i] ^= prow
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def mat_rank(mat: BitMatrix) -> int:
+    return len(_echelon([r for r in mat.rows if r], mat.ncols))
 
 
 def mat_invert(mat: BitMatrix) -> BitMatrix:
@@ -208,20 +220,9 @@ def mat_invert(mat: BitMatrix) -> BitMatrix:
         raise DimensionMismatch("only square matrices invert")
     n = mat.nrows
     aug = [mat.rows[i] | (1 << (n + i)) for i in range(n)]
-    for col in range(n):
-        mask = 1 << col
-        pivot = None
-        for i in range(col, n):
-            if aug[i] & mask:
-                pivot = i
-                break
-        if pivot is None:
-            raise Singular(f"no pivot in column {col}")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        prow = aug[col]
-        for i in range(n):
-            if i != col and aug[i] & mask:
-                aug[i] ^= prow
+    rank = len(_echelon(aug, n))
+    if rank < n:
+        raise Singular(f"rank {rank} of {n}")
     return BitMatrix(n, n, [r >> n for r in aug])
 
 
@@ -236,29 +237,11 @@ def gaussian_solve(mat: BitMatrix, y: BitVector) -> BitVector:
         raise DimensionMismatch(f"matrix has {mat.nrows} rows, rhs length {y.n}")
     n = mat.ncols
     aug = [mat.rows[i] | (y.get(i) << n) for i in range(mat.nrows)]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        mask = 1 << col
-        pivot = None
-        for i in range(rank, len(aug)):
-            if aug[i] & mask:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        prow = aug[rank]
-        for i in range(len(aug)):
-            if i != rank and aug[i] & mask:
-                aug[i] ^= prow
-        pivots.append((rank, col))
-        rank += 1
-    for i in range(rank, len(aug)):
-        if aug[i] >> n:
-            raise Inconsistent("rhs not in the column space")
+    pivots = _echelon(aug, n)
+    if any(r >> n for r in aug[len(pivots):]):
+        raise Inconsistent("rhs not in the column space")
     x = 0
-    for row, col in pivots:
+    for row, col in enumerate(pivots):
         if aug[row] >> n:
             x |= 1 << col
     return BitVector(n, x)

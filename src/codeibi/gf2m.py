@@ -310,25 +310,15 @@ def poly_ext_gcd(a: Gf2mPoly, b: Gf2mPoly, stop_deg, p: FieldParams):
         raise ZeroOperand("ext_gcd with zero second operand")
     cur = (a, POLY_ONE, POLY_ZERO)
     nxt = (b, POLY_ZERO, POLY_ONE)
-    if stop_deg < 0:
-        while not nxt[0].is_zero():
-            q, r = poly_divmod(cur[0], nxt[0], p)
-            cur, nxt = nxt, (
-                r,
-                poly_add(cur[1], poly_mul(q, nxt[1], p)),
-                poly_add(cur[2], poly_mul(q, nxt[2], p)),
-            )
-        return cur
-    while cur[0].degree > stop_deg:
-        if nxt[0].is_zero():
-            return nxt
+    while not nxt[0].is_zero() and (stop_deg < 0 or cur[0].degree > stop_deg):
         q, r = poly_divmod(cur[0], nxt[0], p)
         cur, nxt = nxt, (
             r,
             poly_add(cur[1], poly_mul(q, nxt[1], p)),
             poly_add(cur[2], poly_mul(q, nxt[2], p)),
         )
-    return cur
+    # a zero remainder is the first entry with degree <= stop_deg >= 0
+    return nxt if 0 <= stop_deg < cur[0].degree else cur
 
 
 def poly_inv_mod(f: Gf2mPoly, g: Gf2mPoly, p: FieldParams) -> Gf2mPoly:

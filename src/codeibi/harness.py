@@ -9,33 +9,25 @@ low-weight key can guarantee; k rounds then succeed with probability
 """
 from __future__ import annotations
 
+import copy
+import dataclasses
 import enum
 import itertools
 import math
 import random
 from dataclasses import dataclass
 
-from .binmat import (
-    BitMatrix,
-    BitVector,
-    apply_permutation,
-    gaussian_solve,
-    mat_invert,
-    mat_vec_mul,
-    random_permutation,
-)
+from .binmat import BitMatrix, BitVector, gaussian_solve, mat_invert, mat_vec_mul
 from .errors import CostGuard, DimensionMismatch, RetryLimitExceeded, Singular
 from .gf2m import FieldParams
-from .ibi import derive_identifier, extract_user_key, ibi_identify, master_keygen
+from .ibi import UserSecretKey, Verifier, derive_identifier, extract_user_key, ibi_identify, master_keygen
 from .stern import (
-    Commitments,
     ProverRoundState,
     SternParams,
     SternSecret,
     _commit,
-    draw_challenge,
     encode_perm,
-    run_identification,
+    stern_commit,
     stern_respond,
     verify_round,
 )
@@ -101,34 +93,18 @@ def cheat_commit(
         s_fake = gaussian_solve(params.pk_matrix, identifier)
     else:
         s_fake = _random_wrong_syndrome_vec(params, identifier, w, rng)
-    y = BitVector.random(params.n, rng)
-    sigma = random_permutation(params.n, rng)
-    syn_y = mat_vec_mul(params.pk_matrix, y)
-    sig_y = apply_permutation(sigma, y)
-    sig_s = apply_permutation(sigma, s_fake)
-    ds = params.domain_sep
+    state, com = stern_commit(params, SternSecret(s_fake), rng)
     if strategy is CheatStrategy.FORGE_C1:
         # commit to the syndrome the b=1 opening will exhibit
-        syn_fake = mat_vec_mul(params.pk_matrix, s_fake)
-        c1 = _commit(ds, encode_perm(sigma), (syn_y ^ syn_fake ^ identifier).to_bytes())
-    else:
-        c1 = _commit(ds, encode_perm(sigma), syn_y.to_bytes())
-    com = Commitments(
-        c1,
-        _commit(ds, sig_y.to_bytes()),
-        _commit(ds, (sig_y ^ sig_s).to_bytes()),
-    )
-    state = ProverRoundState(y, sigma, sig_y, sig_s, syn_y)
+        syn = state.syn_y ^ mat_vec_mul(params.pk_matrix, s_fake) ^ identifier
+        c1 = _commit(params.domain_sep, encode_perm(state.sigma), syn.to_bytes())
+        com = dataclasses.replace(com, c1=c1)
     return CheatState(strategy, state, s_fake), com
 
 
 def cheat_respond(state: CheatState, ch: int):
     """Answer with the fake secret; the commitment checks decide the round."""
     return stern_respond(state.round_state, SternSecret(state.s_fake), ch)
-
-
-def _clone_round_state(st: ProverRoundState) -> ProverRoundState:
-    return ProverRoundState(st.y, st.sigma, st.sig_y, st.sig_s, st.syn_y)
 
 
 def strategy_acceptance_set(
@@ -142,8 +118,7 @@ def strategy_acceptance_set(
     state, com = cheat_commit(strategy, params, identifier, w, rng)
     accepted = set()
     for ch in (0, 1, 2):
-        fresh = CheatState(state.strategy, _clone_round_state(state.round_state), state.s_fake)
-        resp = cheat_respond(fresh, ch)
+        resp = stern_respond(copy.copy(state.round_state), SternSecret(state.s_fake), ch)
         if verify_round(params, identifier, com, ch, resp, weight=w):
             accepted.add(ch)
     return accepted
@@ -180,23 +155,7 @@ def impersonation_game(cfg: GameConfig) -> GameResult:
     identity = b"imp-pa:target"
     successes = 0
 
-    if cfg.kind == "honest":
-        usk = extract_user_key(msk, mpk, identity, rng)
-        for _ in range(cfg.trials):
-            if ibi_identify(usk, mpk, identity, rng, rng).accepted:
-                successes += 1
-        bound = 1.0
-    elif cfg.kind == "wrong-key":
-        identifier = derive_identifier(mpk, identity, 1)
-        s_fake = _random_wrong_syndrome_vec(params, identifier, cfg.t, rng)
-        for _ in range(cfg.trials):
-            _, ok = run_identification(
-                params, SternSecret(s_fake), identifier, rng, rng, weight=cfg.t
-            )
-            if ok:
-                successes += 1
-        bound = (2.0 / 3.0) ** cfg.rounds
-    else:
+    if cfg.kind == "cheat":
         # keep the solve-syndrome strategy honest about its wrong weight:
         # skip identifiers whose pivot solution happens to weigh exactly t
         j = 1
@@ -206,18 +165,23 @@ def impersonation_game(cfg: GameConfig) -> GameResult:
             identifier = derive_identifier(mpk, identity, j)
         strategies = tuple(CheatStrategy)
         for _ in range(cfg.trials):
-            ok = True
-            for _ in range(cfg.rounds):
-                strat = rng.choice(strategies)
-                state, com = cheat_commit(strat, params, identifier, cfg.t, rng)
-                ch = draw_challenge(rng)
-                resp = cheat_respond(state, ch)
-                if not verify_round(params, identifier, com, ch, resp, weight=cfg.t):
-                    ok = False
+            verifier = Verifier(mpk, identity, j, cfg.t, rng)
+            while not verifier.done:
+                state, com = cheat_commit(rng.choice(strategies), params, identifier, cfg.t, rng)
+                if not verifier.check(cheat_respond(state, verifier.challenge(com))):
                     break
-            if ok:
-                successes += 1
+            successes += verifier.accepted
         bound = (2.0 / 3.0) ** cfg.rounds
+    else:
+        if cfg.kind == "honest":
+            usk = extract_user_key(msk, mpk, identity, rng)
+            bound = 1.0
+        else:
+            identifier = derive_identifier(mpk, identity, 1)
+            usk = UserSecretKey(_random_wrong_syndrome_vec(params, identifier, cfg.t, rng), 1, cfg.t)
+            bound = (2.0 / 3.0) ** cfg.rounds
+        for _ in range(cfg.trials):
+            successes += ibi_identify(usk, mpk, identity, rng, rng).accepted
 
     rate = successes / cfg.trials
     three_sigma = 3.0 * math.sqrt(bound * (1.0 - bound) / cfg.trials)

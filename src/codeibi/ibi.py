@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
 from .binmat import BitVector, mat_vec_mul
-from .errors import CodeIbiError, ParameterError
+from .errors import CodeIbiError, ParameterError, ProtocolViolation
 from .gf2m import FieldParams
 from .mcfs import HashSpec, hash_to_syndrome, mcfs_sign
 from .niederreiter import NiedPublicKey, NiedSecretKey, nied_keygen
@@ -26,7 +27,7 @@ from .stern import (
     RoundTranscript,
     SternParams,
     SternSecret,
-    run_identification,
+    draw_challenge,
     stern_commit,
     stern_respond,
     verify_round,
@@ -38,8 +39,10 @@ __all__ = [
     "IbsSignature",
     "MasterPublicKey",
     "MasterSecretKey",
+    "Prover",
     "UserCredential",
     "UserSecretKey",
+    "Verifier",
     "derive_identifier",
     "extract_user_key",
     "fs_challenges",
@@ -130,6 +133,83 @@ def extract_user_key(
     return usk
 
 
+class Prover:
+    """Prover side of a session, whatever carries its messages.
+
+    commit() opens a round and respond() answers the oldest open one, so
+    rounds can run one at a time or, as in a signature, all commits first.
+    """
+
+    def __init__(
+        self, usk: UserSecretKey, mpk: MasterPublicKey, rng: random.Random, rounds: int | None = None
+    ):
+        self.params = mpk.stern_params(rounds)
+        self.secret, self.rng = SternSecret(usk.s), rng
+        self._open = deque()
+
+    def commit(self) -> Commitments:
+        state, com = stern_commit(self.params, self.secret, self.rng)
+        self._open.append(state)
+        return com
+
+    def respond(self, ch: int) -> Response:
+        return stern_respond(self._open.popleft(), self.secret, ch)
+
+
+class Verifier:
+    """Verifier side of one session, whatever carries its messages.
+
+    Admits (identity, j, w) only within the mpk's bounds, then checks and
+    records rounds until it holds k of them, and accepts only if every
+    one passed.  challenge() draws a round's challenge from rng and
+    check() settles that round; record() settles a round whose challenge
+    was derived elsewhere, as a signature's are.
+    """
+
+    def __init__(
+        self,
+        mpk: MasterPublicKey,
+        identity: bytes,
+        j: int,
+        w: int,
+        rng: random.Random | None = None,
+        rounds: int | None = None,
+    ):
+        self.identity, self.j, self.w, self.rng = identity, j, w, rng
+        self.rounds: list[RoundTranscript] = []
+        self.admitted = w <= mpk.nied_pk.t and 1 <= j <= mpk.hash_spec.counter_max
+        if self.admitted:
+            self.identifier = derive_identifier(mpk, identity, j)
+            self.params = mpk.stern_params(rounds)
+        self._pending = None
+
+    @property
+    def done(self) -> bool:
+        return self.admitted and len(self.rounds) == self.params.rounds
+
+    @property
+    def accepted(self) -> bool:
+        return self.done and all(rt.accepted for rt in self.rounds)
+
+    def challenge(self, com: Commitments) -> int:
+        self._pending = (com, draw_challenge(self.rng))
+        return self._pending[1]
+
+    def check(self, resp: Response) -> bool:
+        (com, ch), self._pending = self._pending, None
+        return self.record(com, ch, resp)
+
+    def record(self, com: Commitments, ch: int, resp: Response) -> bool:
+        if not self.admitted or self.done:
+            raise ProtocolViolation("session takes no further rounds")
+        ok = verify_round(self.params, self.identifier, com, ch, resp, weight=self.w)
+        self.rounds.append(RoundTranscript(com, ch, resp, ok))
+        return ok
+
+    def transcript(self) -> IbiTranscript:
+        return IbiTranscript(self.identity, self.j, self.w, self.accepted, tuple(self.rounds))
+
+
 def ibi_identify(
     usk: UserSecretKey,
     mpk: MasterPublicKey,
@@ -139,19 +219,13 @@ def ibi_identify(
     rounds: int | None = None,
 ) -> IbiTranscript:
     """In-process identification session; mirrors the wire protocol."""
-    if usk.w > mpk.nied_pk.t or not 1 <= usk.j <= mpk.hash_spec.counter_max:
-        return IbiTranscript(identity, usk.j, usk.w, False, ())
-    identifier = derive_identifier(mpk, identity, usk.j)
-    params = mpk.stern_params(rounds)
-    transcripts, ok = run_identification(
-        params,
-        SternSecret(usk.s),
-        identifier,
-        prover_rng,
-        verifier_rng,
-        weight=usk.w,
-    )
-    return IbiTranscript(identity, usk.j, usk.w, ok, tuple(transcripts))
+    verifier = Verifier(mpk, identity, usk.j, usk.w, verifier_rng, rounds)
+    if verifier.admitted:
+        prover = Prover(usk, mpk, prover_rng, rounds)
+        while not verifier.done:
+            ch = verifier.challenge(prover.commit())
+            verifier.check(prover.respond(ch))
+    return verifier.transcript()
 
 
 def fs_challenges(
@@ -210,40 +284,32 @@ def ibs_sign(
     rounds: int | None = None,
 ) -> IbsSignature:
     """Sign by committing for every round first, then deriving all challenges."""
-    k = mpk.stern_rounds if rounds is None else rounds
-    params = mpk.stern_params(k)
-    secret = SternSecret(usk.s)
-    states = []
-    coms = []
-    for _ in range(k):
-        st, com = stern_commit(params, secret, rng)
-        states.append(st)
-        coms.append(com)
+    prover = Prover(usk, mpk, rng, rounds)
+    coms = tuple(prover.commit() for _ in range(prover.params.rounds))
     blob = b"".join(c.c1 + c.c2 + c.c3 for c in coms)
-    chs = fs_challenges(mpk, identity, usk.j, blob, msg, k)
-    resps = [stern_respond(st, secret, ch) for st, ch in zip(states, chs)]
-    return IbsSignature(usk.j, usk.w, tuple(coms), tuple(chs), tuple(resps))
+    chs = tuple(fs_challenges(mpk, identity, usk.j, blob, msg, len(coms)))
+    resps = tuple(prover.respond(ch) for ch in chs)
+    return IbsSignature(usk.j, usk.w, coms, chs, resps)
 
 
 def ibs_verify(mpk: MasterPublicKey, identity: bytes, msg: bytes, sig: IbsSignature) -> bool:
-    """Recompute the challenge stream and check every round."""
+    """Recompute the challenge stream and check every round.
+
+    A signature needs at least the mpk's round count: a signer who could
+    pick k would pick k = 1 and win with probability 2/3 without a key.
+    """
     try:
         k = len(sig.commitments)
-        if k < 1 or len(sig.challenges) != k or len(sig.responses) != k:
+        if k < mpk.stern_rounds or len(sig.challenges) != k or len(sig.responses) != k:
             return False
-        if sig.w > mpk.nied_pk.t or not 1 <= sig.j <= mpk.hash_spec.counter_max:
+        verifier = Verifier(mpk, identity, sig.j, sig.w, rounds=k)
+        if not verifier.admitted:
             return False
-        for com in sig.commitments:
-            if len(com.c1) != 32 or len(com.c2) != 32 or len(com.c3) != 32:
-                return False
+        if any(len(c) != 32 for com in sig.commitments for c in (com.c1, com.c2, com.c3)):
+            return False
         blob = b"".join(c.c1 + c.c2 + c.c3 for c in sig.commitments)
         if tuple(fs_challenges(mpk, identity, sig.j, blob, msg, k)) != tuple(sig.challenges):
             return False
-        identifier = derive_identifier(mpk, identity, sig.j)
-        params = mpk.stern_params(k)
-        for com, ch, resp in zip(sig.commitments, sig.challenges, sig.responses):
-            if not verify_round(params, identifier, com, ch, resp, weight=sig.w):
-                return False
-        return True
+        return all(map(verifier.record, sig.commitments, sig.challenges, sig.responses))
     except CodeIbiError:
         return False

@@ -138,11 +138,9 @@ def stern_respond(state: ProverRoundState, secret: SternSecret, ch: int) -> Resp
     if ch not in (0, 1, 2):
         raise RangeError(f"challenge {ch} not ternary")
     state.consumed = True
-    if ch == 0:
-        return Response(0, state.y, perm=state.sigma)
-    if ch == 1:
-        return Response(1, state.y ^ secret.s, perm=state.sigma)
-    return Response(2, state.sig_y, vec2=state.sig_s)
+    if ch == 2:
+        return Response(2, state.sig_y, vec2=state.sig_s)
+    return Response(ch, state.y if ch == 0 else state.y ^ secret.s, perm=state.sigma)
 
 
 def verify_round(
@@ -163,18 +161,15 @@ def verify_round(
     try:
         if resp.b != ch or resp.vec is None or resp.vec.n != params.n:
             return False
-        if ch == 0:
+        if ch in (0, 1):
+            # b=0 opens y (c1, c2); b=1 opens y + s, whose syndrome is off by the identifier (c1, c3)
             if resp.perm is None or resp.perm.n != params.n:
                 return False
             syn = mat_vec_mul(params.pk_matrix, resp.vec)
-            return com.c1 == _commit(ds, encode_perm(resp.perm), syn.to_bytes()) and com.c2 == _commit(
-                ds, apply_permutation(resp.perm, resp.vec).to_bytes()
-            )
-        if ch == 1:
-            if resp.perm is None or resp.perm.n != params.n:
-                return False
-            syn = mat_vec_mul(params.pk_matrix, resp.vec) ^ identifier
-            return com.c1 == _commit(ds, encode_perm(resp.perm), syn.to_bytes()) and com.c3 == _commit(
+            if ch == 1:
+                syn ^= identifier
+            opened = com.c3 if ch else com.c2
+            return com.c1 == _commit(ds, encode_perm(resp.perm), syn.to_bytes()) and opened == _commit(
                 ds, apply_permutation(resp.perm, resp.vec).to_bytes()
             )
         if ch == 2:

@@ -19,7 +19,7 @@ import sys
 import threading
 from pathlib import Path
 
-from .binmat import BitMatrix, BitVector, Permutation
+from .binmat import BitMatrix, BitVector, Permutation, mat_invert
 from .errors import (
     ChannelError,
     CodeIbiError,
@@ -29,35 +29,29 @@ from .errors import (
     ProtocolViolation,
     RangeError,
     TruncatedInput,
+    Undecodable,
     VersionMismatch,
 )
 from .gf2m import FieldParams, Gf2mPoly
 from .goppa import code_from_poly
-from .harness import GameConfig, estimate_costs, impersonation_game
+from .harness import GameConfig, brute_force_decode, estimate_costs, impersonation_game
 from .ibi import (
     IbiTranscript,
     IbsSignature,
     MasterPublicKey,
     MasterSecretKey,
+    Prover,
     UserCredential,
-    derive_identifier,
+    UserSecretKey,
+    Verifier,
     extract_user_key,
     ibs_sign,
     ibs_verify,
     master_keygen,
 )
 from .mcfs import HashSpec, McfsSignature
-from .niederreiter import NiedPublicKey, NiedSecretKey
-from .stern import (
-    Commitments,
-    Response,
-    RoundTranscript,
-    SternSecret,
-    draw_challenge,
-    stern_commit,
-    stern_respond,
-    verify_round,
-)
+from .niederreiter import NiedPublicKey, NiedSecretKey, nied_decrypt, nied_keygen
+from .stern import Commitments, Response, RoundTranscript, encode_perm
 
 __all__ = [
     "KIND_IBS_SIG",
@@ -167,7 +161,7 @@ def _dec_bitvec(r: _Reader) -> BitVector:
 
 
 def _enc_perm(p: Permutation) -> bytes:
-    return _u32(p.n) + struct.pack(f">{p.n}H", *p.map)
+    return _u32(p.n) + encode_perm(p)
 
 
 def _dec_perm(r: _Reader) -> Permutation:
@@ -250,6 +244,19 @@ def decode_response_payload(payload: bytes) -> Response:
     return resp
 
 
+def _challenge(ch: int) -> int:
+    if ch not in (0, 1, 2):
+        raise MalformedEnvelope(f"bad challenge {ch}")
+    return ch
+
+
+def _dec_answer(r: _Reader, ch: int) -> Response:
+    resp = _dec_response(r)
+    if resp.b != ch:
+        raise MalformedEnvelope("response tag disagrees with its challenge")
+    return resp
+
+
 # ---- kind bodies ----------------------------------------------------------
 
 
@@ -303,8 +310,6 @@ def _dec_msk_body(r: _Reader) -> MasterSecretKey:
     code = code_from_poly(fp, t, g)
     if q.nrows != m * t or q.ncols != m * t or p.n != code.n:
         raise MalformedEnvelope("secret key dimensions are inconsistent")
-    from .binmat import mat_invert
-
     q_inv = mat_invert(q)
     return MasterSecretKey(NiedSecretKey(q, code, p, q_inv))
 
@@ -319,8 +324,6 @@ def _dec_usk_body(r: _Reader) -> UserCredential:
     w = r.u16()
     s = _dec_bitvec(r)
     mpk = _dec_mpk_body(r)
-    from .ibi import UserSecretKey
-
     return UserCredential(UserSecretKey(s, j, w), mpk)
 
 
@@ -339,10 +342,7 @@ def _enc_ibs_body(sig: IbsSignature) -> bytes:
     out = bytearray(_u64(sig.j) + _u16(sig.w) + _u32(k))
     for com in sig.commitments:
         out += _enc_commitments(com)
-    for ch in sig.challenges:
-        if ch not in (0, 1, 2):
-            raise MalformedEnvelope(f"bad challenge {ch}")
-        out.append(ch)
+    out += bytes(_challenge(ch) for ch in sig.challenges)
     for resp in sig.responses:
         out += encode_response_payload(resp)
     return bytes(out)
@@ -355,19 +355,9 @@ def _dec_ibs_body(r: _Reader) -> IbsSignature:
     if not 1 <= k <= 1 << 20:
         raise MalformedEnvelope(f"bad round count {k}")
     coms = tuple(_dec_commitments(r) for _ in range(k))
-    chs = []
-    for _ in range(k):
-        ch = r.u8()
-        if ch > 2:
-            raise MalformedEnvelope(f"bad challenge {ch}")
-        chs.append(ch)
-    resps = []
-    for ch in chs:
-        resp = _dec_response(r)
-        if resp.b != ch:
-            raise MalformedEnvelope("response tag disagrees with its challenge")
-        resps.append(resp)
-    return IbsSignature(j, w, coms, tuple(chs), tuple(resps))
+    chs = tuple(_challenge(r.u8()) for _ in range(k))
+    resps = tuple(_dec_answer(r, ch) for ch in chs)
+    return IbsSignature(j, w, coms, chs, resps)
 
 
 def _enc_transcript_body(tr: IbiTranscript) -> bytes:
@@ -380,9 +370,7 @@ def _enc_transcript_body(tr: IbiTranscript) -> bytes:
     )
     for rt in tr.rounds:
         out += _enc_commitments(rt.commitments)
-        if rt.challenge not in (0, 1, 2):
-            raise MalformedEnvelope(f"bad challenge {rt.challenge}")
-        out.append(rt.challenge)
+        out.append(_challenge(rt.challenge))
         out += encode_response_payload(rt.response)
         out.append(1 if rt.accepted else 0)
     return bytes(out)
@@ -399,12 +387,8 @@ def _dec_transcript_body(r: _Reader) -> IbiTranscript:
     rounds = []
     for _ in range(k):
         com = _dec_commitments(r)
-        ch = r.u8()
-        if ch > 2:
-            raise MalformedEnvelope(f"bad challenge {ch}")
-        resp = _dec_response(r)
-        if resp.b != ch:
-            raise MalformedEnvelope("response tag disagrees with its challenge")
+        ch = _challenge(r.u8())
+        resp = _dec_answer(r, ch)
         ok = r.u8()
         if ok > 1:
             raise MalformedEnvelope("bad accept flag")
@@ -541,6 +525,10 @@ def _parse_hello(payload: bytes):
     return identity, j, w
 
 
+def _make_rng(seed: int | None) -> random.Random:
+    return random.Random(seed) if seed is not None else random.SystemRandom()
+
+
 class VerifierServer:
     """Accepts identification sessions and records their transcripts."""
 
@@ -555,7 +543,7 @@ class VerifierServer:
     ):
         self.mpk = mpk
         self.rounds = mpk.stern_rounds if rounds is None else rounds
-        self.rng = random.Random(seed) if seed is not None else random.SystemRandom()
+        self.rng = _make_rng(seed)
         self.max_sessions = max_sessions
         self.sessions: list[IbiTranscript] = []
         self._sock = socket.create_server((host, port))
@@ -588,6 +576,11 @@ class VerifierServer:
     def stop(self) -> None:
         self._stopping = True
         try:
+            # shutdown, unlike close, wakes a thread blocked in accept()
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._sock.close()
         except OSError:
             pass
@@ -616,36 +609,26 @@ class VerifierServer:
         except CodeIbiError:
             self._reject(conn)
             return None
-        mpk = self.mpk
-        if w > mpk.nied_pk.t or not 1 <= j <= mpk.hash_spec.counter_max:
-            self._reject(conn)
-            return IbiTranscript(identity, j, w, False, ())
-        identifier = derive_identifier(mpk, identity, j)
-        params = mpk.stern_params(self.rounds)
-        rounds = []
-        decision = True
-        for _ in range(self.rounds):
+        verifier = Verifier(self.mpk, identity, j, w, self.rng, self.rounds)
+        while verifier.admitted and not verifier.done:
             mtype, payload = _recv_msg(conn)
             if mtype != MSG_COMMIT or len(payload) != 96:
-                self._reject(conn)
-                return IbiTranscript(identity, j, w, False, tuple(rounds))
-            com = Commitments(payload[:32], payload[32:64], payload[64:96])
-            ch = draw_challenge(self.rng)
+                break
+            ch = verifier.challenge(Commitments(payload[:32], payload[32:64], payload[64:96]))
             _send_msg(conn, MSG_CHALLENGE, bytes([ch]))
             mtype, payload = _recv_msg(conn)
             if mtype != MSG_RESPONSE:
-                self._reject(conn)
-                return IbiTranscript(identity, j, w, False, tuple(rounds))
+                break
             try:
                 resp = decode_response_payload(payload)
             except CodeIbiError:
-                self._reject(conn)
-                return IbiTranscript(identity, j, w, False, tuple(rounds))
-            ok = verify_round(params, identifier, com, ch, resp, weight=w)
-            rounds.append(RoundTranscript(com, ch, resp, ok))
-            decision = decision and ok
-        _send_msg(conn, MSG_RESULT, b"\x01" if decision else b"\x00")
-        return IbiTranscript(identity, j, w, decision, tuple(rounds))
+                break
+            verifier.check(resp)
+        if verifier.done:
+            _send_msg(conn, MSG_RESULT, bytes([verifier.accepted]))
+        else:
+            self._reject(conn)
+        return verifier.transcript()
 
 
 def run_prover(
@@ -657,26 +640,22 @@ def run_prover(
     rounds: int | None = None,
 ) -> bool:
     """Drive one identification session as the prover; True iff accepted."""
-    usk, mpk = cred.usk, cred.mpk
-    k = mpk.stern_rounds if rounds is None else rounds
-    params = mpk.stern_params(k)
-    secret = SternSecret(usk.s)
+    prover = Prover(cred.usk, cred.mpk, rng, rounds)
     try:
         sock = socket.create_connection((host, port), timeout=60.0)
     except OSError as e:
         raise ChannelError(f"connect failed: {e}") from e
     with sock:
-        _send_msg(sock, MSG_HELLO, _hello_payload(identity, usk.j, usk.w))
-        for _ in range(k):
-            state, com = stern_commit(params, secret, rng)
+        _send_msg(sock, MSG_HELLO, _hello_payload(identity, cred.usk.j, cred.usk.w))
+        for _ in range(prover.params.rounds):
+            com = prover.commit()
             _send_msg(sock, MSG_COMMIT, com.c1 + com.c2 + com.c3)
             mtype, payload = _recv_msg(sock)
             if mtype == MSG_RESULT:
                 return len(payload) == 1 and payload[0] == 1
             if mtype != MSG_CHALLENGE or len(payload) != 1 or payload[0] > 2:
                 raise ProtocolViolation("expected a ternary challenge")
-            resp = stern_respond(state, secret, payload[0])
-            _send_msg(sock, MSG_RESPONSE, encode_response_payload(resp))
+            _send_msg(sock, MSG_RESPONSE, encode_response_payload(prover.respond(payload[0])))
         mtype, payload = _recv_msg(sock)
         if mtype != MSG_RESULT or len(payload) != 1 or payload[0] > 1:
             raise ProtocolViolation("expected the session result")
@@ -684,10 +663,6 @@ def run_prover(
 
 
 # ---- CLI ------------------------------------------------------------------
-
-
-def _make_rng(seed: int | None) -> random.Random:
-    return random.Random(seed) if seed is not None else random.SystemRandom()
 
 
 def _parse_endpoint(text: str):
@@ -837,11 +812,6 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    from .binmat import mat_vec_mul  # noqa: F401  (used via imported helpers)
-    from .errors import Undecodable
-    from .harness import brute_force_decode
-    from .niederreiter import nied_keygen
-
     rng = _make_rng(args.seed)
     fp = FieldParams(args.m)
     pk, sk = nied_keygen(fp, args.t, rng)
@@ -853,8 +823,6 @@ def _cmd_oracle_check(args) -> int:
     for sbits in range(total):
         syn = BitVector(r, sbits)
         try:
-            from .niederreiter import nied_decrypt
-
             fast = nied_decrypt(sk, syn)
         except Undecodable:
             fast = None

@@ -5,9 +5,15 @@ import pytest
 
 from codeibi import (
     BitVector,
+    CheatStrategy,
     FieldParams,
     IbsSignature,
+    ProtocolViolation,
+    Prover,
     Response,
+    Verifier,
+    cheat_commit,
+    cheat_respond,
     derive_identifier,
     extract_user_key,
     fs_challenges,
@@ -16,6 +22,7 @@ from codeibi import (
     ibs_verify,
     master_keygen,
     mat_vec_mul,
+    verify_round,
 )
 
 
@@ -191,3 +198,57 @@ def test_rounds_param_guard():
 
     with pytest.raises(ParameterError):
         master_keygen(FieldParams(5), 2, 0, random.Random(33))
+
+
+def test_ibs_rejects_signatures_shorter_than_the_mpk_round_count():
+    # A keyless WEIGHT_ONLY prover passes a round for two of the three
+    # challenges.  If the verifier took k from the signature, a one-round
+    # signature against a 40-round mpk would verify about 2/3 of the time.
+    mpk, msk = authority(rounds=40, seed=34)
+    identity, j, w = b"victim", 1, mpk.nied_pk.t
+    identifier = derive_identifier(mpk, identity, j)
+    one_round = mpk.stern_params(1)
+    rng = random.Random(35)
+    forged = []
+    for i in range(30):
+        msg = f"forged {i}".encode()
+        state, com = cheat_commit(CheatStrategy.WEIGHT_ONLY, one_round, identifier, w, rng)
+        (ch,) = fs_challenges(mpk, identity, j, com.c1 + com.c2 + com.c3, msg, 1)
+        resp = cheat_respond(state, ch)
+        forged.append((msg, IbsSignature(j, w, (com,), (ch,), (resp,))))
+    passing = sum(
+        verify_round(one_round, identifier, sig.commitments[0], sig.challenges[0], sig.responses[0], weight=w)
+        for _, sig in forged
+    )
+    assert passing > 10  # the forgeries are not vacuous: most rounds open correctly
+    assert not any(ibs_verify(mpk, identity, msg, sig) for msg, sig in forged)
+
+    # more rounds than the mpk asks for is only stronger, and still verifies
+    usk = extract_user_key(msk, mpk, b"honest", rng)
+    assert ibs_verify(mpk, b"honest", b"m", ibs_sign(usk, mpk, b"honest", b"m", rng, rounds=41))
+
+
+def test_prover_verifier_all_commits_first_matches_one_round_at_a_time():
+    mpk, msk = authority(rounds=12, seed=36)
+    usk = extract_user_key(msk, mpk, b"ivy", random.Random(37))
+
+    def session(all_commits_first):
+        prover = Prover(usk, mpk, random.Random(38))
+        verifier = Verifier(mpk, b"ivy", usk.j, usk.w, random.Random(39))
+        assert verifier.admitted
+        if all_commits_first:
+            coms = [prover.commit() for _ in range(mpk.stern_rounds)]
+            for com in coms:
+                verifier.check(prover.respond(verifier.challenge(com)))
+        else:
+            while not verifier.done:
+                verifier.check(prover.respond(verifier.challenge(prover.commit())))
+        assert verifier.done
+        with pytest.raises(ProtocolViolation):
+            verifier.record(verifier.rounds[0].commitments, 0, verifier.rounds[0].response)
+        return verifier.transcript()
+
+    batched = session(True)
+    assert batched.accepted and len(batched.rounds) == 12
+    assert batched == session(False)
+    assert batched == ibi_identify(usk, mpk, b"ivy", random.Random(38), random.Random(39))

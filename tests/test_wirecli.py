@@ -5,6 +5,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -211,6 +212,26 @@ def test_wire_rejects_skipped_commit(system):
             mtype, payload = wirecli._recv_msg(sock)
     assert mtype == MSG_RESULT and payload == b"\x00"
     assert server.sessions[0].accepted is False
+
+
+def test_stop_wakes_an_idle_server(system):
+    server = VerifierServer(system["mpk"]).start()
+    start = time.perf_counter()
+    server.stop()
+    assert time.perf_counter() - start < 1.0
+    assert not server._thread.is_alive()
+
+
+def test_peers_that_close_early_record_no_session(system):
+    mpk, cred = system["mpk"], system["cred"]
+    with VerifierServer(mpk, seed=57, max_sessions=3).start() as server:
+        socket.create_connection(("127.0.0.1", server.port), timeout=10).close()
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(bytes([MSG_HELLO, 0]))  # two of the five header bytes
+        ok = run_prover("127.0.0.1", server.port, cred, b"alice", random.Random(58))
+    assert ok
+    assert len(server.sessions) == 1
+    assert server.sessions[0].accepted and server.sessions[0].identity == b"alice"
 
 
 def test_prover_raises_on_dead_server(system):
