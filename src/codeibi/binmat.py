@@ -6,6 +6,7 @@ least significant bit first.
 """
 from __future__ import annotations
 
+import operator
 import random
 
 from .errors import DimensionMismatch, Inconsistent, ParameterError, RangeError, Singular
@@ -25,6 +26,7 @@ __all__ = [
     "permute_columns",
     "random_nonsingular",
     "random_permutation",
+    "select_columns",
 ]
 
 
@@ -338,12 +340,17 @@ def permute_columns(mat: BitMatrix, perm: Permutation) -> BitMatrix:
     """mat @ perm_matrix(perm): new column j is old column map[j]."""
     if mat.ncols != perm.n:
         raise DimensionMismatch(f"matrix has {mat.ncols} columns, permutation on {perm.n}")
-    pm = perm.map
-    out = []
-    for row in mat.rows:
-        acc = 0
-        for j in range(mat.ncols):
-            if (row >> pm[j]) & 1:
-                acc |= 1 << j
-        out.append(acc)
-    return BitMatrix(mat.nrows, mat.ncols, out)
+    return select_columns(mat, perm.map)
+
+
+def select_columns(mat: BitMatrix, cols) -> BitMatrix:
+    """Matrix whose new column j is old column cols[j].
+
+    One itemgetter gather per row over its '0'/'1' string, low bit first.
+    For a single column itemgetter returns a bare character, not a tuple;
+    join passes it through unchanged.
+    """
+    n = mat.ncols
+    pick = operator.itemgetter(*cols)
+    rows = [int("".join(pick(format(row, f"0{n}b")[::-1]))[::-1], 2) for row in mat.rows]
+    return BitMatrix(mat.nrows, len(cols), rows)

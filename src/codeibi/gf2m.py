@@ -1,8 +1,8 @@
 """Arithmetic in GF(2^m) and in the polynomial ring GF(2^m)[z].
 
 Field elements are plain ints holding m-bit polynomial-basis encodings
-(bit i = coefficient of z^i).  Small fields (m <= 12) get log/antilog
-tables; larger ones multiply by shift-and-reduce.
+(bit i = coefficient of z^i).  Every field gets log/antilog tables, so
+a product or an inverse is a few list lookups.
 """
 from __future__ import annotations
 
@@ -31,8 +31,6 @@ __all__ = [
 ]
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
-
-_TABLE_MAX_M = 12
 
 
 def _gf2_mod(a: int, b: int) -> int:
@@ -67,8 +65,13 @@ def least_irreducible(m: int) -> int:
     return _LEAST_IRRED_CACHE[m]
 
 
-def _mul_noreduce_tables(m: int, modulus: int):
-    """Build (exp, log) tables for GF(2^m) over the given modulus."""
+def _log_tables(m: int, modulus: int):
+    """(exp, log) tables for GF(2^m): exp[i] = gen^i and log[gen^i] = i.
+
+    gen is the first of 1, 2, 3, ... whose powers cover all 2^m - 1
+    nonzero elements.  Products and inverses do not depend on which
+    generator is found.
+    """
     order = (1 << m) - 1
 
     def raw_mul(a: int, b: int) -> int:
@@ -82,38 +85,18 @@ def _mul_noreduce_tables(m: int, modulus: int):
                 a ^= modulus
         return r
 
-    def raw_pow(a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = raw_mul(r, a)
-            a = raw_mul(a, a)
-            e >>= 1
-        return r
-
-    factors = []
-    n, q = order, 2
-    while q * q <= n:
-        if n % q == 0:
-            factors.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        factors.append(n)
-
-    gen = 2 if m > 1 else 1
-    while any(raw_pow(gen, order // q) == 1 for q in factors):
-        gen += 1
-
     exp = [0] * order
     log = [0] * (1 << m)
-    x = 1
-    for i in range(order):
-        exp[i] = x
-        log[x] = i
-        x = raw_mul(x, gen)
-    return exp, log
+    for gen in range(1, 1 << m):
+        x = 1
+        for i in range(order):
+            exp[i] = x
+            log[x] = i
+            x = raw_mul(x, gen)
+            if x == 1:
+                break
+        if i == order - 1:
+            return exp, log
 
 
 class FieldParams:
@@ -131,10 +114,7 @@ class FieldParams:
         self.m = m
         self.modulus = modulus
         self.order = (1 << m) - 1
-        if m <= _TABLE_MAX_M:
-            self.exp, self.log = _mul_noreduce_tables(m, modulus)
-        else:
-            self.exp = self.log = None
+        self.exp, self.log = _log_tables(m, modulus)
 
     def __repr__(self):
         return f"FieldParams(m={self.m}, modulus={self.modulus:#x})"
@@ -154,21 +134,10 @@ def field_mul(a: int, b: int, p: FieldParams) -> int:
     """Product in GF(2^m)."""
     if a == 0 or b == 0:
         return 0
-    if p.exp is not None:
-        s = p.log[a] + p.log[b]
-        if s >= p.order:
-            s -= p.order
-        return p.exp[s]
-    m, modulus = p.m, p.modulus
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a >> m & 1:
-            a ^= modulus
-    return r
+    s = p.log[a] + p.log[b]
+    if s >= p.order:
+        s -= p.order
+    return p.exp[s]
 
 
 def field_pow(a: int, e: int, p: FieldParams) -> int:
@@ -189,10 +158,7 @@ def field_inv(a: int, p: FieldParams) -> int:
     """Multiplicative inverse in GF(2^m)."""
     if a == 0:
         raise ZeroInverse("0 has no inverse")
-    if p.exp is not None:
-        la = p.log[a]
-        return p.exp[(p.order - la) % p.order]
-    return field_pow(a, p.order - 1, p)
+    return p.exp[(p.order - p.log[a]) % p.order]
 
 
 class Gf2mPoly:

@@ -50,7 +50,7 @@ class GoppaCode:
         self.t = t
         self.n = 1 << params.m
         self.k = self.n - params.m * t
-        self.support = tuple(range(self.n))
+        self.support = range(self.n)
         self.g = g
         self.H_bin = H_bin
 
@@ -91,6 +91,8 @@ def code_from_poly(params: FieldParams, t: int, g: Gf2mPoly) -> GoppaCode:
     _check_code_params(params, t)
     if g.degree != t or g.coeffs[-1] != 1:
         raise ParameterError("Goppa polynomial must be monic of degree t")
+    if any(c >> params.m for c in g.coeffs):
+        raise ParameterError(f"Goppa polynomial coefficient outside GF(2^{params.m})")
     if not is_irreducible(g, params):
         raise ParameterError("Goppa polynomial must be irreducible")
     H = _assemble_parity(params, t, g)

@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .binmat import BitMatrix, BitVector, gaussian_solve, mat_invert, mat_vec_mul
+from .binmat import BitMatrix, BitVector, gaussian_solve, mat_invert, mat_vec_mul, select_columns
 from .errors import CostGuard, DimensionMismatch, RetryLimitExceeded, Singular
 from .gf2m import FieldParams
 from .ibi import UserSecretKey, Verifier, derive_identifier, extract_user_key, ibi_identify, master_keygen
@@ -226,15 +226,8 @@ def prange_attempt(h_tilde: BitMatrix, syndrome: BitVector, t: int, rng: random.
         raise DimensionMismatch("syndrome length does not match the matrix")
     for _ in range(200):
         cols = sorted(rng.sample(range(n), r))
-        sub_rows = []
-        for row in h_tilde.rows:
-            acc = 0
-            for idx, c in enumerate(cols):
-                if (row >> c) & 1:
-                    acc |= 1 << idx
-            sub_rows.append(acc)
         try:
-            a_inv = mat_invert(BitMatrix(r, r, sub_rows))
+            a_inv = mat_invert(select_columns(h_tilde, cols))
         except Singular:
             continue
         x = mat_vec_mul(a_inv, syndrome)

@@ -240,8 +240,9 @@ def fs_challenges(
 
     One candidate byte per challenge, rejecting bytes >= 252, refilling
     from SHA-256 over (identity, j, every commitment, message, block
-    counter) with the block counter bumped per refill.  The derivation
-    does not hash mpk itself; the commitments already bind its matrix.
+    counter) with the block counter bumped per refill.  Neither mpk nor
+    the round count is hashed, and the commitments do not bind the
+    matrix either: c1 hashes H*y, not H.
     """
     prefix = hashlib.sha256()
     prefix.update(bytes([DOMAIN_FS]))

@@ -23,6 +23,7 @@ from codeibi import (
     permute_columns,
     random_nonsingular,
     random_permutation,
+    select_columns,
 )
 
 
@@ -203,3 +204,18 @@ def test_permute_columns_matches_composition():
         assert mp == mat_mul(m, perm_matrix(p))
         v = BitVector.random(30, rng)
         assert mat_vec_mul(mp, v) == mat_vec_mul(m, apply_permutation(p, v))
+
+
+def test_column_gather_matches_bitwise_definition():
+    rng = random.Random(31)
+    for ncols in (1, 2, 64, 4096):
+        m = BitMatrix(3, ncols, [rng.getrandbits(ncols) for _ in range(3)])
+        p = random_permutation(ncols, rng)
+        cols = [rng.randrange(ncols) for _ in range(rng.randrange(1, ncols + 1))]
+        for gathered, picks in ((permute_columns(m, p), p.map), (select_columns(m, cols), cols)):
+            assert gathered.nrows == 3 and gathered.ncols == len(picks)
+            for row, old in zip(gathered.rows, m.rows):
+                assert all((row >> j) & 1 == (old >> c) & 1 for j, c in enumerate(picks))
+    m = BitMatrix(2, 5, [0b10110, 0b01001])
+    assert select_columns(m, [4]).rows == (1, 0)
+    assert select_columns(m, [0]).rows == (0, 1)

@@ -74,6 +74,21 @@ def test_field_mul_matches_slow_oracle_sampled():
             assert field_mul(a, b, p) == slow_mul(a, b, m, p.modulus)
 
 
+def test_every_degree_matches_slow_oracle_and_inverts():
+    # m = 8, 9, 12, 14 and 16 use moduli where z is not a generator
+    rng = random.Random(113)
+    for m in range(1, 17):
+        p = FieldParams(m)
+        if m <= 6:
+            pairs = [(a, b) for a in range(1 << m) for b in range(1 << m)]
+        else:
+            pairs = [(rng.randrange(1 << m), rng.randrange(1 << m)) for _ in range(300)]
+        for a, b in pairs:
+            assert field_mul(a, b, p) == slow_mul(a, b, m, p.modulus), (m, a, b)
+        for a in range(1, min(1 << m, 300)):
+            assert field_mul(a, field_inv(a, p), p) == 1, (m, a)
+
+
 def test_field_axioms_randomized():
     rng = random.Random(7)
     for m in (4, 7, 10, 13, 16):

@@ -140,6 +140,15 @@ def test_ibs_decode_rejects_tag_mismatch(system):
         decode(bytes(blob))
 
 
+def test_msk_goppa_coefficient_outside_the_field_is_malformed(system):
+    blob = bytearray(encode(system["msk"]))
+    # header 14, then m (1), modulus (4), t (2), coefficient count (4), big-endian u16 coefficients
+    g0_high = 14 + 1 + 4 + 2 + 4
+    blob[g0_high] |= 0x01  # g_0 gains 2^8, outside GF(2^5)
+    with pytest.raises(MalformedEnvelope):
+        decode(bytes(blob))
+
+
 def test_response_payload_roundtrip(system):
     seen = set()
     for rt in system["transcript"].rounds:
