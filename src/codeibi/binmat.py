@@ -1,8 +1,8 @@
 """Dense linear algebra over GF(2) with int-packed rows and vectors.
 
-A vector of length n lives in one Python int; bit i is coordinate i.
-Packed into bytes, coordinate i lands in bit (i mod 8) of byte i//8,
-least significant bit first.
+A vector of length n lives in one Python int; bit i is coordinate i,
+and bit (i mod 8) of byte i//8 when packed.  Permutations and column
+picks all move bits by one gather over an int's '0'/'1' string.
 """
 from __future__ import annotations
 
@@ -262,17 +262,14 @@ def random_nonsingular(dim: int, rng: random.Random) -> BitMatrix:
 class Permutation:
     """Permutation of {0..n-1}; map[i] is the image of position i."""
 
-    __slots__ = ("map", "_inv")
+    __slots__ = ("map",)
 
     def __init__(self, images):
         images = tuple(images)
-        seen = [False] * len(images)
-        for v in images:
-            if not 0 <= v < len(images) or seen[v]:
-                raise ParameterError("not a permutation")
-            seen[v] = True
+        n = len(images)
+        if images and (len(set(images)) != n or min(images) < 0 or max(images) >= n):
+            raise ParameterError("not a permutation")
         self.map = images
-        self._inv = None
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -283,13 +280,11 @@ class Permutation:
         return len(self.map)
 
     def inverse(self) -> "Permutation":
-        if self._inv is None:
-            inv = [0] * len(self.map)
-            for i, v in enumerate(self.map):
-                inv[v] = i
-            self._inv = Permutation(inv)
-            self._inv._inv = self
-        return self._inv
+        """Rebuilt per call: a cached one keeps a second map alive per permutation."""
+        inv = [0] * len(self.map)
+        for i, v in enumerate(self.map):
+            inv[v] = i
+        return Permutation(inv)
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.map == other.map
@@ -310,30 +305,33 @@ def random_permutation(n: int, rng: random.Random) -> Permutation:
     return Permutation(images)
 
 
+def _gather(bits: int, n: int, picks) -> int:
+    """Bit j of the result is bit picks[j] of the n-bit int bits.
+
+    One itemgetter over the '0'/'1' string, low bit first; a lone pick is a
+    bare character, which join passes through, and no picks gather nothing.
+    """
+    if not picks:
+        return 0
+    pick = operator.itemgetter(*picks)
+    return int("".join(pick(format(bits, f"0{n}b")[::-1]))[::-1], 2)
+
+
 def apply_permutation(perm: Permutation, v: BitVector) -> BitVector:
     """Vector with coordinate i of v moved to coordinate map[i]."""
-    if v.n != perm.n:
-        raise DimensionMismatch(f"permutation on {perm.n} points, vector length {v.n}")
-    pm = perm.map
-    out = 0
-    b = v.bits
-    while b:
-        low = b & -b
-        out |= 1 << pm[low.bit_length() - 1]
-        b ^= low
-    return BitVector(v.n, out)
+    return apply_inverse_permutation(perm.inverse(), v)
 
 
 def apply_inverse_permutation(perm: Permutation, v: BitVector) -> BitVector:
-    return apply_permutation(perm.inverse(), v)
+    """Vector whose coordinate j is coordinate map[j] of v."""
+    if v.n != perm.n:
+        raise DimensionMismatch(f"permutation on {perm.n} points, vector length {v.n}")
+    return BitVector(v.n, _gather(v.bits, v.n, perm.map))
 
 
 def perm_matrix(perm: Permutation) -> BitMatrix:
     """Matrix M with M @ v = apply_permutation(perm, v)."""
-    rows = [0] * perm.n
-    for i, v in enumerate(perm.map):
-        rows[v] = 1 << i
-    return BitMatrix(perm.n, perm.n, rows)
+    return BitMatrix(perm.n, perm.n, [1 << i for i in perm.inverse().map])
 
 
 def permute_columns(mat: BitMatrix, perm: Permutation) -> BitMatrix:
@@ -344,13 +342,5 @@ def permute_columns(mat: BitMatrix, perm: Permutation) -> BitMatrix:
 
 
 def select_columns(mat: BitMatrix, cols) -> BitMatrix:
-    """Matrix whose new column j is old column cols[j].
-
-    One itemgetter gather per row over its '0'/'1' string, low bit first.
-    For a single column itemgetter returns a bare character, not a tuple;
-    join passes it through unchanged.
-    """
-    n = mat.ncols
-    pick = operator.itemgetter(*cols)
-    rows = [int("".join(pick(format(row, f"0{n}b")[::-1]))[::-1], 2) for row in mat.rows]
-    return BitMatrix(mat.nrows, len(cols), rows)
+    """Matrix whose new column j is old column cols[j], one gather per row."""
+    return BitMatrix(mat.nrows, len(cols), [_gather(row, mat.ncols, cols) for row in mat.rows])

@@ -85,12 +85,13 @@ def _log_tables(m: int, modulus: int):
                 a ^= modulus
         return r
 
+    ints = list(range(1 << m))  # one int object per value, shared by both tables
     exp = [0] * order
     log = [0] * (1 << m)
     for gen in range(1, 1 << m):
         x = 1
-        for i in range(order):
-            exp[i] = x
+        for i in ints[:order]:
+            exp[i] = ints[x]
             log[x] = i
             x = raw_mul(x, gen)
             if x == 1:

@@ -542,7 +542,7 @@ class VerifierServer:
         max_sessions: int | None = None,
     ):
         self.mpk = mpk
-        self.rounds = mpk.stern_rounds if rounds is None else rounds
+        self.rounds = mpk.stern_params(rounds).rounds  # ParameterError for rounds < 1
         self.rng = _make_rng(seed)
         self.max_sessions = max_sessions
         self.sessions: list[IbiTranscript] = []

@@ -219,3 +219,33 @@ def test_column_gather_matches_bitwise_definition():
     m = BitMatrix(2, 5, [0b10110, 0b01001])
     assert select_columns(m, [4]).rows == (1, 0)
     assert select_columns(m, [0]).rows == (0, 1)
+
+
+def test_permutation_gathers_match_bitwise_definition():
+    rng = random.Random(37)
+    for n in (1, 2, 64, 4096):
+        p = random_permutation(n, rng)
+        rows = perm_matrix(p).rows
+        assert all(rows[p.map[i]] == 1 << i for i in range(n))
+        for v in (BitVector.random(n, rng), BitVector.random_weight(n, min(n, 9), rng)):
+            moved = apply_permutation(p, v)
+            pulled = apply_inverse_permutation(p, v)
+            for i in range(n):
+                assert moved.get(p.map[i]) == v.get(i)
+                assert pulled.get(i) == v.get(p.map[i])
+            assert mat_vec_mul(perm_matrix(p), v) == moved
+
+
+def test_permutation_rejects_negative_entry():
+    with pytest.raises(ParameterError):
+        Permutation((1, -1, 0))
+    with pytest.raises(ParameterError):
+        Permutation((-1,))
+
+
+def test_empty_permutation_on_empty_vector():
+    empty = Permutation(())
+    assert empty.n == 0 and empty.inverse() == empty
+    assert apply_permutation(empty, BitVector(0)) == BitVector(0)
+    assert apply_inverse_permutation(empty, BitVector(0)) == BitVector(0)
+    assert perm_matrix(empty) == BitMatrix(0, 0, [])

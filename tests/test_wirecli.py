@@ -18,6 +18,7 @@ from codeibi import (
     MalformedEnvelope,
     MasterPublicKey,
     NiedPublicKey,
+    ParameterError,
     TruncatedInput,
     UserCredential,
     VerifierServer,
@@ -351,3 +352,15 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert "attack_binops_log2=72.0" in proc.stdout
+
+
+def test_server_refuses_fewer_than_one_round(system, tmp_path):
+    # a server that cannot run one round must not start: every session
+    # would fail, and verify-serve would exit 0 on its empty session list
+    for rounds in (0, -1):
+        with pytest.raises(ParameterError):
+            VerifierServer(system["mpk"], rounds=rounds)
+    mpk_p = tmp_path / "zero.mpk"
+    write_envelope(mpk_p, system["mpk"])
+    assert main(["verify-serve", "--mpk", str(mpk_p), "--listen", "127.0.0.1:0",
+                 "--rounds", "0", "--max-sessions", "0"]) == 2
