@@ -67,22 +67,26 @@ def _check_code_params(params: FieldParams, t: int) -> None:
         raise ParameterError(f"m*t={params.m * t} leaves no code dimension")
 
 
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _assemble_parity(params: FieldParams, t: int, g: Gf2mPoly) -> BitMatrix:
-    """GF(2) expansion of the t x n matrix with entries L_i^r / g(L_i)."""
+    """GF(2) expansion of the t x n matrix with entries L_i^r / g(L_i).
+
+    The n entries of each power r are computed once; each of their m bit
+    planes becomes one row, parsed from a 0/1 byte string.  Setting the
+    bits one at a time would rewrite an n-bit int for every set bit.
+    """
     m = params.m
     n = 1 << m
-    rows = [0] * (m * t)
-    for i in range(n):
-        entry = field_inv(poly_eval(g, i, params), params)
-        bit = 1 << i
-        for r in range(t):
-            v = entry
-            base = r * m
-            while v:
-                low = v & -v
-                rows[base + low.bit_length() - 1] |= bit
-                v ^= low
-            entry = field_mul(entry, i, params)
+    entries = [field_inv(poly_eval(g, i, params), params) for i in range(n)]
+    rows = []
+    for r in range(t):
+        if r:
+            entries = [field_mul(e, i, params) for i, e in enumerate(entries)]
+        high_first = entries[::-1]
+        for b in range(m):
+            rows.append(int(bytes([e >> b & 1 for e in high_first]).translate(_BIT_CHARS), 2))
     return BitMatrix(m * t, n, rows)
 
 

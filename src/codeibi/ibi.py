@@ -287,7 +287,7 @@ def ibs_sign(
     """Sign by committing for every round first, then deriving all challenges."""
     prover = Prover(usk, mpk, rng, rounds)
     coms = tuple(prover.commit() for _ in range(prover.params.rounds))
-    blob = b"".join(c.c1 + c.c2 + c.c3 for c in coms)
+    blob = b"".join(c.to_bytes() for c in coms)
     chs = tuple(fs_challenges(mpk, identity, usk.j, blob, msg, len(coms)))
     resps = tuple(prover.respond(ch) for ch in chs)
     return IbsSignature(usk.j, usk.w, coms, chs, resps)
@@ -306,9 +306,8 @@ def ibs_verify(mpk: MasterPublicKey, identity: bytes, msg: bytes, sig: IbsSignat
         verifier = Verifier(mpk, identity, sig.j, sig.w, rounds=k)
         if not verifier.admitted:
             return False
-        if any(len(c) != 32 for com in sig.commitments for c in (com.c1, com.c2, com.c3)):
-            return False
-        blob = b"".join(c.c1 + c.c2 + c.c3 for c in sig.commitments)
+        # to_bytes() raises MalformedEnvelope unless each digest is 32 bytes
+        blob = b"".join(c.to_bytes() for c in sig.commitments)
         if tuple(fs_challenges(mpk, identity, sig.j, blob, msg, k)) != tuple(sig.challenges):
             return False
         return all(map(verifier.record, sig.commitments, sig.challenges, sig.responses))

@@ -13,8 +13,23 @@ import random
 import struct
 from dataclasses import dataclass
 
-from .binmat import BitMatrix, BitVector, Permutation, apply_permutation, mat_vec_mul, random_permutation
-from .errors import CodeIbiError, DimensionMismatch, ParameterError, RangeError, StateReuse
+from .binmat import (
+    BitMatrix,
+    BitVector,
+    Permutation,
+    apply_inverse_permutation,
+    apply_permutation,
+    mat_vec_mul,
+    random_permutation,
+)
+from .errors import (
+    CodeIbiError,
+    DimensionMismatch,
+    MalformedEnvelope,
+    ParameterError,
+    RangeError,
+    StateReuse,
+)
 
 __all__ = [
     "Commitments",
@@ -64,9 +79,24 @@ class SternSecret:
 
 @dataclass(frozen=True)
 class Commitments:
+    """A round's three SHA-256 digests; on the wire, c1 || c2 || c3."""
+
     c1: bytes
     c2: bytes
     c3: bytes
+
+    SIZE = 96  # not a field: the length of to_bytes()
+
+    def to_bytes(self) -> bytes:
+        if len(self.c1) != 32 or len(self.c2) != 32 or len(self.c3) != 32:
+            raise MalformedEnvelope("commitments must be 32 bytes each")
+        return self.c1 + self.c2 + self.c3
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "Commitments":
+        if len(data) != cls.SIZE:
+            raise MalformedEnvelope(f"commitments take {cls.SIZE} bytes, not {len(data)}")
+        return cls(data[:32], data[32:64], data[64:])
 
 
 @dataclass(frozen=True)
@@ -120,8 +150,9 @@ def stern_commit(params: SternParams, secret: SternSecret, rng: random.Random):
     y = BitVector.random(params.n, rng)
     sigma = random_permutation(params.n, rng)
     syn_y = mat_vec_mul(params.pk_matrix, y)
-    sig_y = apply_permutation(sigma, y)
-    sig_s = apply_permutation(sigma, secret.s)
+    sigma_inv = sigma.inverse()  # one inverse serves both sigma(y) and sigma(s)
+    sig_y = apply_inverse_permutation(sigma_inv, y)
+    sig_s = apply_inverse_permutation(sigma_inv, secret.s)
     ds = params.domain_sep
     com = Commitments(
         _commit(ds, encode_perm(sigma), syn_y.to_bytes()),

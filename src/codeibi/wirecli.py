@@ -1,11 +1,13 @@
 """Serialization, the prover/verifier socket protocol, and the CLI.
 
-Container format: ``CIBI`` magic, a version byte, a kind byte, an
-8-byte big-endian body length, then the kind-specific body.  All
-integers are big-endian; bit vectors are packed least-significant bit
-first within each byte; permutations are arrays of 16-bit indices.
-Encoders emit exactly one byte string per value and decoders reject
-anything non-canonical, so encode(decode(encode(v))) == encode(v).
+An envelope is ``CIBI`` magic, a version byte, a kind byte, a u64 body
+length, then the body; ``_KINDS`` gives each kind its type and codec.
+Fixed fields are big-endian struct formats; bit vectors are a u32
+length, then bits packed low first; matrices are u32 rows and columns,
+then little-endian rows; permutations and Goppa polynomials are a u32
+count (at most 2^16) of u16 words; commitments are the 96 bytes of
+stern.Commitments.  Every length is capped or checked against the bytes
+left before it is used, and decoders reject anything non-canonical.
 """
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ from .ibi import (
 )
 from .mcfs import HashSpec, McfsSignature
 from .niederreiter import NiedPublicKey, NiedSecretKey, nied_decrypt, nied_keygen
-from .stern import Commitments, Response, RoundTranscript, encode_perm
+from .stern import Commitments, Response, RoundTranscript
 
 __all__ = [
     "KIND_IBS_SIG",
@@ -89,6 +91,7 @@ MSG_RESPONSE = 0x13
 MSG_RESULT = 0x14
 
 _MAX_WIRE_PAYLOAD = 1 << 28
+_MAX_WORDS = 1 << 16  # entries in a permutation or polynomial
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,123 +117,86 @@ class _Reader:
         self.pos += n
         return out
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return int.from_bytes(self.take(2), "big")
-
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")
-
-    def u64(self) -> int:
-        return int.from_bytes(self.take(8), "big")
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def expect_end(self) -> None:
         if self.pos != len(self.data):
             raise MalformedEnvelope(f"{len(self.data) - self.pos} trailing bytes")
 
 
-def _u16(v: int) -> bytes:
-    return v.to_bytes(2, "big")
-
-
-def _u32(v: int) -> bytes:
-    return v.to_bytes(4, "big")
-
-
-def _u64(v: int) -> bytes:
-    return v.to_bytes(8, "big")
-
-
-def _enc_bytes_lp(b: bytes) -> bytes:
-    return _u32(len(b)) + b
-
-
-def _dec_bytes_lp(r: _Reader) -> bytes:
-    return r.take(r.u32())
+def _parse(data: bytes, dec):
+    """dec applied to all of data, with nothing left over."""
+    r = _Reader(data)
+    value = dec(r)
+    r.expect_end()
+    return value
 
 
 def _enc_bitvec(v: BitVector) -> bytes:
-    return _u32(v.n) + v.to_bytes()
+    return struct.pack(">I", v.n) + v.to_bytes()
 
 
 def _dec_bitvec(r: _Reader) -> BitVector:
-    n = r.u32()
+    (n,) = r.unpack(">I")
     return BitVector.from_bytes(r.take((n + 7) // 8), n)
 
 
-def _enc_perm(p: Permutation) -> bytes:
-    return _u32(p.n) + encode_perm(p)
+def _enc_words(words) -> bytes:
+    """A u32 count, then big-endian u16 words: permutations and polynomials.
+
+    An entry of 2^16 or more makes struct raise, which encode() reports
+    as MalformedEnvelope; a Python range scan costs more than the pack.
+    """
+    if len(words) > _MAX_WORDS:
+        raise MalformedEnvelope(f"word array of {len(words)} entries too large")
+    return struct.pack(f">I{len(words)}H", len(words), *words)
 
 
-def _dec_perm(r: _Reader) -> Permutation:
-    n = r.u32()
-    if n > 1 << 16:
-        raise MalformedEnvelope(f"permutation length {n} too large")
-    return Permutation(struct.unpack(f">{n}H", r.take(2 * n)))
+def _dec_words(r: _Reader) -> tuple:
+    (n,) = r.unpack(">I")
+    if n > _MAX_WORDS:
+        raise MalformedEnvelope(f"word array of {n} entries too large")
+    return r.unpack(f">{n}H")
 
 
 def _enc_matrix(m: BitMatrix) -> bytes:
     width = (m.ncols + 7) // 8
-    out = bytearray(_u32(m.nrows) + _u32(m.ncols))
-    for row in m.rows:
-        out += row.to_bytes(width, "little")
-    return bytes(out)
+    rows = b"".join(row.to_bytes(width, "little") for row in m.rows)
+    return struct.pack(">II", m.nrows, m.ncols) + rows
 
 
 def _dec_matrix(r: _Reader) -> BitMatrix:
-    nrows, ncols = r.u32(), r.u32()
+    """Dimensions are checked, and the rows' bytes taken, before any row is built."""
+    nrows, ncols = r.unpack(">II")
     if nrows * ncols > 1 << 30:
         raise MalformedEnvelope("matrix too large")
+    if nrows and not ncols:
+        raise MalformedEnvelope(f"matrix has {nrows} rows but no columns")
     width = (ncols + 7) // 8
-    rows = [int.from_bytes(r.take(width), "little") for _ in range(nrows)]
+    block = r.take(nrows * width)
+    rows = [int.from_bytes(block[i * width : (i + 1) * width], "little") for i in range(nrows)]
     return BitMatrix(nrows, ncols, rows)
-
-
-def _enc_poly(g: Gf2mPoly) -> bytes:
-    for c in g.coeffs:
-        if c >> 16:
-            raise MalformedEnvelope("coefficient does not fit 16 bits")
-    return _u32(len(g.coeffs)) + struct.pack(f">{len(g.coeffs)}H", *g.coeffs)
-
-
-def _dec_poly(r: _Reader) -> Gf2mPoly:
-    n = r.u32()
-    if n > 1 << 16:
-        raise MalformedEnvelope(f"polynomial length {n} too large")
-    coeffs = struct.unpack(f">{n}H", r.take(2 * n)) if n else ()
-    if coeffs and coeffs[-1] == 0:
-        raise MalformedEnvelope("non-normalized polynomial")
-    return Gf2mPoly(coeffs)
-
-
-def _enc_commitments(c: Commitments) -> bytes:
-    if len(c.c1) != 32 or len(c.c2) != 32 or len(c.c3) != 32:
-        raise MalformedEnvelope("commitments must be 32 bytes each")
-    return c.c1 + c.c2 + c.c3
-
-
-def _dec_commitments(r: _Reader) -> Commitments:
-    return Commitments(r.take(32), r.take(32), r.take(32))
 
 
 def encode_response_payload(resp: Response) -> bytes:
     if resp.b in (0, 1):
         if resp.perm is None:
             raise MalformedEnvelope("response lacks its permutation")
-        return bytes([resp.b]) + _enc_bitvec(resp.vec) + _enc_perm(resp.perm)
-    if resp.b == 2:
+        opened = _enc_words(resp.perm.map)
+    elif resp.b == 2:
         if resp.vec2 is None:
             raise MalformedEnvelope("response lacks its second vector")
-        return bytes([resp.b]) + _enc_bitvec(resp.vec) + _enc_bitvec(resp.vec2)
-    raise MalformedEnvelope(f"bad response tag {resp.b}")
+        opened = _enc_bitvec(resp.vec2)
+    else:
+        raise MalformedEnvelope(f"bad response tag {resp.b}")
+    return bytes([resp.b]) + _enc_bitvec(resp.vec) + opened
 
 
 def _dec_response(r: _Reader) -> Response:
-    b = r.u8()
+    (b,) = r.unpack(">B")
     if b in (0, 1):
-        return Response(b, _dec_bitvec(r), perm=_dec_perm(r))
+        return Response(b, _dec_bitvec(r), perm=Permutation(_dec_words(r)))
     if b == 2:
         vec = _dec_bitvec(r)
         return Response(b, vec, vec2=_dec_bitvec(r))
@@ -238,10 +204,7 @@ def _dec_response(r: _Reader) -> Response:
 
 
 def decode_response_payload(payload: bytes) -> Response:
-    r = _Reader(payload)
-    resp = _dec_response(r)
-    r.expect_end()
-    return resp
+    return _parse(payload, _dec_response)
 
 
 def _challenge(ch: int) -> int:
@@ -257,27 +220,32 @@ def _dec_answer(r: _Reader, ch: int) -> Response:
     return resp
 
 
+def _hello_payload(identity: bytes, j: int, w: int) -> bytes:
+    """(identity, j, w): a HELLO's payload and a transcript's header."""
+    return struct.pack(f">I{len(identity)}sQH", len(identity), identity, j, w)
+
+
+def _dec_hello(r: _Reader) -> tuple:
+    identity = r.take(*r.unpack(">I"))
+    return (identity, *r.unpack(">QH"))
+
+
+def _parse_hello(payload: bytes) -> tuple:
+    return _parse(payload, _dec_hello)
+
+
 # ---- kind bodies ----------------------------------------------------------
 
 
 def _enc_mpk_body(mpk: MasterPublicKey) -> bytes:
     pk = mpk.nied_pk
     m = (pk.n - 1).bit_length()
-    return (
-        bytes([m])
-        + _u16(pk.t)
-        + _u16(mpk.stern_rounds)
-        + bytes([mpk.hash_spec.domain_sep, mpk.commit_domain_sep])
-        + _enc_matrix(pk.h_tilde)
-    )
+    ds = (mpk.hash_spec.domain_sep, mpk.commit_domain_sep)
+    return struct.pack(">BHHBB", m, pk.t, mpk.stern_rounds, *ds) + _enc_matrix(pk.h_tilde)
 
 
 def _dec_mpk_body(r: _Reader) -> MasterPublicKey:
-    m = r.u8()
-    t = r.u16()
-    rounds = r.u16()
-    ds_syn = r.u8()
-    ds_commit = r.u8()
+    m, t, rounds, ds_syn, ds_commit = r.unpack(">BHHBB")
     h = _dec_matrix(r)
     n = 1 << m
     if h.ncols != n or h.nrows != m * t or rounds < 1:
@@ -290,24 +258,22 @@ def _enc_msk_body(msk: MasterSecretKey) -> bytes:
     sk = msk.nied_sk
     code = sk.code
     return (
-        bytes([code.params.m])
-        + _u32(code.params.modulus)
-        + _u16(code.t)
-        + _enc_poly(code.g)
+        struct.pack(">BIH", code.params.m, code.params.modulus, code.t)
+        + _enc_words(code.g.coeffs)
         + _enc_matrix(sk.q)
-        + _enc_perm(sk.p)
+        + _enc_words(sk.p.map)
     )
 
 
 def _dec_msk_body(r: _Reader) -> MasterSecretKey:
-    m = r.u8()
-    modulus = r.u32()
-    t = r.u16()
-    g = _dec_poly(r)
+    m, modulus, t = r.unpack(">BIH")
+    coeffs = _dec_words(r)
+    if coeffs and coeffs[-1] == 0:
+        raise MalformedEnvelope("non-normalized polynomial")
     q = _dec_matrix(r)
-    p = _dec_perm(r)
+    p = Permutation(_dec_words(r))
     fp = FieldParams(m, modulus)
-    code = code_from_poly(fp, t, g)
+    code = code_from_poly(fp, t, Gf2mPoly(coeffs))
     if q.nrows != m * t or q.ncols != m * t or p.n != code.n:
         raise MalformedEnvelope("secret key dimensions are inconsistent")
     q_inv = mat_invert(q)
@@ -316,80 +282,65 @@ def _dec_msk_body(r: _Reader) -> MasterSecretKey:
 
 def _enc_usk_body(cred: UserCredential) -> bytes:
     usk = cred.usk
-    return _u64(usk.j) + _u16(usk.w) + _enc_bitvec(usk.s) + _enc_mpk_body(cred.mpk)
+    return struct.pack(">QH", usk.j, usk.w) + _enc_bitvec(usk.s) + _enc_mpk_body(cred.mpk)
 
 
 def _dec_usk_body(r: _Reader) -> UserCredential:
-    j = r.u64()
-    w = r.u16()
+    j, w = r.unpack(">QH")
     s = _dec_bitvec(r)
     mpk = _dec_mpk_body(r)
     return UserCredential(UserSecretKey(s, j, w), mpk)
 
 
 def _enc_mcfs_body(sig: McfsSignature) -> bytes:
-    return _u64(sig.i) + _enc_bitvec(sig.x)
+    return struct.pack(">Q", sig.i) + _enc_bitvec(sig.x)
 
 
 def _dec_mcfs_body(r: _Reader) -> McfsSignature:
-    return McfsSignature(r.u64(), _dec_bitvec(r))
+    (i,) = r.unpack(">Q")
+    return McfsSignature(i, _dec_bitvec(r))
 
 
 def _enc_ibs_body(sig: IbsSignature) -> bytes:
     k = len(sig.commitments)
     if len(sig.challenges) != k or len(sig.responses) != k:
         raise MalformedEnvelope("signature arrays disagree on the round count")
-    out = bytearray(_u64(sig.j) + _u16(sig.w) + _u32(k))
-    for com in sig.commitments:
-        out += _enc_commitments(com)
-    out += bytes(_challenge(ch) for ch in sig.challenges)
-    for resp in sig.responses:
-        out += encode_response_payload(resp)
-    return bytes(out)
+    head = struct.pack(">QHI", sig.j, sig.w, k)
+    coms = [com.to_bytes() for com in sig.commitments]
+    chs = bytes(map(_challenge, sig.challenges))
+    return b"".join([head, *coms, chs, *map(encode_response_payload, sig.responses)])
 
 
 def _dec_ibs_body(r: _Reader) -> IbsSignature:
-    j = r.u64()
-    w = r.u16()
-    k = r.u32()
+    j, w, k = r.unpack(">QHI")
     if not 1 <= k <= 1 << 20:
         raise MalformedEnvelope(f"bad round count {k}")
-    coms = tuple(_dec_commitments(r) for _ in range(k))
-    chs = tuple(_challenge(r.u8()) for _ in range(k))
+    coms = tuple(Commitments.from_bytes(r.take(Commitments.SIZE)) for _ in range(k))
+    chs = tuple(_challenge(r.unpack(">B")[0]) for _ in range(k))
     resps = tuple(_dec_answer(r, ch) for ch in chs)
     return IbsSignature(j, w, coms, chs, resps)
 
 
 def _enc_transcript_body(tr: IbiTranscript) -> bytes:
-    out = bytearray(
-        _enc_bytes_lp(tr.identity)
-        + _u64(tr.j)
-        + _u16(tr.w)
-        + bytes([1 if tr.accepted else 0])
-        + _u32(len(tr.rounds))
-    )
+    head = struct.pack(">BI", bool(tr.accepted), len(tr.rounds))
+    out = [_hello_payload(tr.identity, tr.j, tr.w), head]
     for rt in tr.rounds:
-        out += _enc_commitments(rt.commitments)
-        out.append(_challenge(rt.challenge))
-        out += encode_response_payload(rt.response)
-        out.append(1 if rt.accepted else 0)
-    return bytes(out)
+        out += [rt.commitments.to_bytes(), bytes([_challenge(rt.challenge)])]
+        out += [encode_response_payload(rt.response), bytes([bool(rt.accepted)])]
+    return b"".join(out)
 
 
 def _dec_transcript_body(r: _Reader) -> IbiTranscript:
-    identity = _dec_bytes_lp(r)
-    j = r.u64()
-    w = r.u16()
-    accepted = r.u8()
-    k = r.u32()
+    identity, j, w = _dec_hello(r)
+    accepted, k = r.unpack(">BI")
     if accepted > 1 or k > 1 << 20:
         raise MalformedEnvelope("bad transcript header")
     rounds = []
     for _ in range(k):
-        com = _dec_commitments(r)
-        ch = _challenge(r.u8())
+        com = Commitments.from_bytes(r.take(Commitments.SIZE))
+        ch = _challenge(r.unpack(">B")[0])
         resp = _dec_answer(r, ch)
-        ok = r.u8()
+        (ok,) = r.unpack(">B")
         if ok > 1:
             raise MalformedEnvelope("bad accept flag")
         rounds.append(RoundTranscript(com, ch, resp, bool(ok)))
@@ -397,48 +348,37 @@ def _dec_transcript_body(r: _Reader) -> IbiTranscript:
 
 
 def _enc_params_body(p: CodeParams) -> bytes:
-    return bytes([p.m]) + _u32(p.modulus) + _u16(p.t)
+    return struct.pack(">BIH", p.m, p.modulus, p.t)
 
 
 def _dec_params_body(r: _Reader) -> CodeParams:
-    return CodeParams(r.u8(), r.u32(), r.u16())
+    return CodeParams(*r.unpack(">BIH"))
 
 
-_ENCODERS = {
-    KIND_MPK: (MasterPublicKey, _enc_mpk_body),
-    KIND_MSK: (MasterSecretKey, _enc_msk_body),
-    KIND_USK: (UserCredential, _enc_usk_body),
-    KIND_MCFS_SIG: (McfsSignature, _enc_mcfs_body),
-    KIND_IBS_SIG: (IbsSignature, _enc_ibs_body),
-    KIND_TRANSCRIPT: (IbiTranscript, _enc_transcript_body),
-    KIND_PARAMS: (CodeParams, _enc_params_body),
+# kind -> (value type, body encoder, body decoder)
+_KINDS = {
+    KIND_MPK: (MasterPublicKey, _enc_mpk_body, _dec_mpk_body),
+    KIND_MSK: (MasterSecretKey, _enc_msk_body, _dec_msk_body),
+    KIND_USK: (UserCredential, _enc_usk_body, _dec_usk_body),
+    KIND_MCFS_SIG: (McfsSignature, _enc_mcfs_body, _dec_mcfs_body),
+    KIND_IBS_SIG: (IbsSignature, _enc_ibs_body, _dec_ibs_body),
+    KIND_TRANSCRIPT: (IbiTranscript, _enc_transcript_body, _dec_transcript_body),
+    KIND_PARAMS: (CodeParams, _enc_params_body, _dec_params_body),
 }
-
-_DECODERS = {
-    KIND_MPK: _dec_mpk_body,
-    KIND_MSK: _dec_msk_body,
-    KIND_USK: _dec_usk_body,
-    KIND_MCFS_SIG: _dec_mcfs_body,
-    KIND_IBS_SIG: _dec_ibs_body,
-    KIND_TRANSCRIPT: _dec_transcript_body,
-    KIND_PARAMS: _dec_params_body,
-}
-
-
-def kind_of(value) -> int:
-    for kind, (cls, _) in _ENCODERS.items():
-        if type(value) is cls:
-            return kind
-    raise MalformedEnvelope(f"no envelope kind for {type(value).__name__}")
 
 
 def encode(value, kind: int | None = None) -> bytes:
     """Serialize a value into its envelope."""
-    actual = kind_of(value)
+    actual = next((k for k, (cls, _, _) in _KINDS.items() if type(value) is cls), None)
+    if actual is None:
+        raise MalformedEnvelope(f"no envelope kind for {type(value).__name__}")
     if kind is not None and kind != actual:
         raise MalformedEnvelope(f"value is kind {actual:#x}, not {kind:#x}")
-    body = _ENCODERS[actual][1](value)
-    return MAGIC + bytes([VERSION, actual]) + _u64(len(body)) + body
+    try:
+        body = _KINDS[actual][1](value)
+    except struct.error as e:
+        raise MalformedEnvelope(f"field out of range: {e}") from e
+    return struct.pack(">4sBBQ", MAGIC, VERSION, actual, len(body)) + body
 
 
 def decode(data: bytes, expect: int | None = None):
@@ -446,26 +386,23 @@ def decode(data: bytes, expect: int | None = None):
     r = _Reader(data)
     if r.take(4) != MAGIC:
         raise MalformedEnvelope("bad magic")
-    version = r.u8()
+    (version,) = r.unpack(">B")
     if version != VERSION:
         raise VersionMismatch(f"version {version}, expected {VERSION}")
-    kind = r.u8()
-    if kind not in _DECODERS:
+    (kind,) = r.unpack(">B")
+    if kind not in _KINDS:
         raise MalformedEnvelope(f"unknown kind {kind:#x}")
     if expect is not None and kind != expect:
         raise MalformedEnvelope(f"expected kind {expect:#x}, found {kind:#x}")
-    body_len = r.u64()
+    (body_len,) = r.unpack(">Q")
     body = r.take(body_len)
     r.expect_end()
-    br = _Reader(body)
     try:
-        value = _DECODERS[kind](br)
-        br.expect_end()
+        return _parse(body, _KINDS[kind][2])
     except (TruncatedInput, MalformedEnvelope, VersionMismatch):
         raise
     except CodeIbiError as e:
         raise MalformedEnvelope(str(e)) from e
-    return value
 
 
 def write_envelope(path, value) -> None:
@@ -481,7 +418,7 @@ def read_envelope(path, expect: int | None = None):
 
 def _send_msg(sock: socket.socket, mtype: int, payload: bytes) -> None:
     try:
-        sock.sendall(bytes([mtype]) + _u32(len(payload)) + payload)
+        sock.sendall(struct.pack(">BI", mtype, len(payload)) + payload)
     except OSError as e:
         raise ChannelError(f"send failed: {e}") from e
 
@@ -502,9 +439,7 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 
 def _recv_msg(sock: socket.socket):
-    header = _recv_exact(sock, 5)
-    mtype = header[0]
-    length = int.from_bytes(header[1:], "big")
+    mtype, length = struct.unpack(">BI", _recv_exact(sock, 5))
     if mtype not in (MSG_HELLO, MSG_COMMIT, MSG_CHALLENGE, MSG_RESPONSE, MSG_RESULT):
         raise ProtocolViolation(f"unknown message type {mtype:#x}")
     if length > _MAX_WIRE_PAYLOAD:
@@ -512,17 +447,15 @@ def _recv_msg(sock: socket.socket):
     return mtype, _recv_exact(sock, length)
 
 
-def _hello_payload(identity: bytes, j: int, w: int) -> bytes:
-    return _enc_bytes_lp(identity) + _u64(j) + _u16(w)
-
-
-def _parse_hello(payload: bytes):
-    r = _Reader(payload)
-    identity = _dec_bytes_lp(r)
-    j = r.u64()
-    w = r.u16()
-    r.expect_end()
-    return identity, j, w
+def _recv_as(sock: socket.socket, mtype: int, parse):
+    """The next message's parsed payload; None if it has another type or does not parse."""
+    got, payload = _recv_msg(sock)
+    if got != mtype:
+        return None
+    try:
+        return parse(payload)
+    except CodeIbiError:
+        return None
 
 
 def _make_rng(seed: int | None) -> random.Random:
@@ -600,28 +533,18 @@ class VerifierServer:
             pass
 
     def _session(self, conn) -> IbiTranscript | None:
-        mtype, payload = _recv_msg(conn)
-        if mtype != MSG_HELLO:
+        hello = _recv_as(conn, MSG_HELLO, _parse_hello)
+        if hello is None:
             self._reject(conn)
             return None
-        try:
-            identity, j, w = _parse_hello(payload)
-        except CodeIbiError:
-            self._reject(conn)
-            return None
-        verifier = Verifier(self.mpk, identity, j, w, self.rng, self.rounds)
+        verifier = Verifier(self.mpk, *hello, self.rng, self.rounds)
         while verifier.admitted and not verifier.done:
-            mtype, payload = _recv_msg(conn)
-            if mtype != MSG_COMMIT or len(payload) != 96:
+            com = _recv_as(conn, MSG_COMMIT, Commitments.from_bytes)
+            if com is None:
                 break
-            ch = verifier.challenge(Commitments(payload[:32], payload[32:64], payload[64:96]))
-            _send_msg(conn, MSG_CHALLENGE, bytes([ch]))
-            mtype, payload = _recv_msg(conn)
-            if mtype != MSG_RESPONSE:
-                break
-            try:
-                resp = decode_response_payload(payload)
-            except CodeIbiError:
+            _send_msg(conn, MSG_CHALLENGE, bytes([verifier.challenge(com)]))
+            resp = _recv_as(conn, MSG_RESPONSE, decode_response_payload)
+            if resp is None:
                 break
             verifier.check(resp)
         if verifier.done:
@@ -649,7 +572,7 @@ def run_prover(
         _send_msg(sock, MSG_HELLO, _hello_payload(identity, cred.usk.j, cred.usk.w))
         for _ in range(prover.params.rounds):
             com = prover.commit()
-            _send_msg(sock, MSG_COMMIT, com.c1 + com.c2 + com.c3)
+            _send_msg(sock, MSG_COMMIT, com.to_bytes())
             mtype, payload = _recv_msg(sock)
             if mtype == MSG_RESULT:
                 return len(payload) == 1 and payload[0] == 1

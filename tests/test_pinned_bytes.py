@@ -14,6 +14,7 @@ import hashlib
 import random
 
 from codeibi import (
+    CodeParams,
     FieldParams,
     UserCredential,
     encode,
@@ -21,6 +22,7 @@ from codeibi import (
     ibi_identify,
     ibs_sign,
     master_keygen,
+    mcfs_sign,
 )
 
 # (m, t, rounds, seed) -> sha256 of the concatenated envelopes.
@@ -42,9 +44,31 @@ def seeded_digest(m: int, t: int, rounds: int, seed: int) -> str:
     return h.hexdigest()
 
 
+# Kinds the digests above do not cover, each pinned on its own.
+PINNED_KINDS = {
+    "mcfs": "fa1c76ea4cdefe4f8dacbdc4b0d3766a4fa8d74bf9e27e335261a0121b37847d",
+    "params": "c871016ca0b5ba11ab51f23c88f995983dca886ac8fdebbac32cc0eac35f66ca",
+}
+
+
+def kind_digests() -> dict:
+    rng = random.Random(72)
+    mpk, msk = master_keygen(FieldParams(10), 3, 1, rng)
+    sig = mcfs_sign(msk.nied_sk, mpk.hash_spec, b"pinned message", rng)
+    params = CodeParams(16, FieldParams(16).modulus, 9)
+    return {
+        "mcfs": hashlib.sha256(encode(sig)).hexdigest(),
+        "params": hashlib.sha256(encode(params)).hexdigest(),
+    }
+
+
 def test_seeded_envelopes_match_pinned_digests():
     for key, digest in PINNED.items():
         assert seeded_digest(*key) == digest, key
+
+
+def test_mcfs_and_params_envelopes_match_pinned_digests():
+    assert kind_digests() == PINNED_KINDS
 
 
 if __name__ == "__main__":
@@ -53,4 +77,7 @@ if __name__ == "__main__":
         got = seeded_digest(*key)
         ok &= got == digest
         print(key, got, "ok" if got == digest else "MISMATCH")
+    for key, got in kind_digests().items():
+        ok &= got == PINNED_KINDS[key]
+        print(key, got, "ok" if got == PINNED_KINDS[key] else "MISMATCH")
     raise SystemExit(0 if ok else 1)

@@ -5,7 +5,9 @@ import pytest
 
 from codeibi import (
     BitVector,
+    Commitments,
     FieldParams,
+    MalformedEnvelope,
     RangeError,
     Response,
     SternParams,
@@ -200,3 +202,12 @@ def test_params_validation():
         SternParams(pk.n, pk.t, 0, pk.h_tilde)
     with pytest.raises(DimensionMismatch):
         SternParams(pk.n + 1, pk.t, 5, pk.h_tilde)
+
+
+def test_commitments_bytes_round_trip_and_refuse_other_lengths():
+    com = Commitments(bytes(32), bytes(range(32)), b"\xff" * 32)
+    assert com.to_bytes() == com.c1 + com.c2 + com.c3
+    assert Commitments.from_bytes(com.to_bytes()) == com
+    for size in (95, 97):
+        with pytest.raises(MalformedEnvelope):
+            Commitments.from_bytes(bytes(size))

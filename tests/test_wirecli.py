@@ -1,7 +1,9 @@
 """Envelope codecs, the socket protocol, and the command line."""
+import dataclasses
 import random
 import shutil
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -11,14 +13,22 @@ import pytest
 
 from codeibi import (
     BitMatrix,
+    BitVector,
     ChannelError,
     CodeParams,
+    Commitments,
     FieldParams,
+    Gf2mPoly,
+    GoppaCode,
     HashSpec,
     MalformedEnvelope,
     MasterPublicKey,
+    MasterSecretKey,
     NiedPublicKey,
+    NiedSecretKey,
     ParameterError,
+    Permutation,
+    Response,
     TruncatedInput,
     UserCredential,
     VerifierServer,
@@ -28,6 +38,7 @@ from codeibi import (
     extract_user_key,
     ibi_identify,
     ibs_sign,
+    ibs_verify,
     main,
     master_keygen,
     mcfs_sign,
@@ -364,3 +375,51 @@ def test_server_refuses_fewer_than_one_round(system, tmp_path):
     write_envelope(mpk_p, system["mpk"])
     assert main(["verify-serve", "--mpk", str(mpk_p), "--listen", "127.0.0.1:0",
                  "--rounds", "0", "--max-sessions", "0"]) == 2
+
+
+def test_matrix_with_rows_but_no_columns_is_refused():
+    # 2^20 rows of width 0 fit in no bytes at all; the parser built them
+    # all before the mpk's dimension check could refuse them
+    with pytest.raises(MalformedEnvelope):
+        wirecli._dec_matrix(wirecli._Reader(struct.pack(">II", 1 << 20, 0)))
+    with pytest.raises(TruncatedInput):
+        wirecli._dec_matrix(wirecli._Reader(struct.pack(">II", 1 << 20, 8) + bytes(8)))
+    empty = wirecli._dec_matrix(wirecli._Reader(struct.pack(">II", 0, 0)))
+    assert (empty.nrows, empty.ncols) == (0, 0)
+    body = struct.pack(">BHHBB", 5, 2, 9, 1, 2) + struct.pack(">II", 1 << 20, 0)
+    blob = b"CIBI" + bytes([1, KIND_MPK]) + struct.pack(">Q", len(body)) + body
+    assert len(blob) == 29
+    with pytest.raises(MalformedEnvelope):
+        decode(blob)
+
+
+def test_commitment_not_32_bytes_is_refused(system):
+    sig, tr = system["ibs"], system["transcript"]
+    com = sig.commitments[0]
+    for bad in (dataclasses.replace(com, c1=com.c1[:31]), Commitments(com.c1[:31], com.c2 + b"\0", com.c3)):
+        bad_sig = dataclasses.replace(sig, commitments=(bad,) + sig.commitments[1:])
+        with pytest.raises(MalformedEnvelope):
+            encode(bad_sig)
+        assert not ibs_verify(system["mpk"], b"alice", b"hello", bad_sig)
+        bad_round = dataclasses.replace(tr.rounds[0], commitments=bad)
+        with pytest.raises(MalformedEnvelope):
+            encode(dataclasses.replace(tr, rounds=(bad_round,) + tr.rounds[1:]))
+    assert ibs_verify(system["mpk"], b"alice", b"hello", sig)
+
+
+def test_word_arrays_outside_16_bits_are_malformed(system):
+    sk = system["msk"].nied_sk
+    code = sk.code
+    wide_g = Gf2mPoly((1 << 16,) + code.g.coeffs[1:])
+    wide_msk = MasterSecretKey(NiedSecretKey(sk.q, GoppaCode(code.params, code.t, wide_g, code.H_bin), sk.p, sk.q_inv))
+    with pytest.raises(MalformedEnvelope):
+        encode(wide_msk)
+    n = (1 << 16) + 1
+    long_resp = Response(0, BitVector.zeros(n), perm=Permutation(range(n)))
+    with pytest.raises(MalformedEnvelope):
+        encode_response_payload(long_resp)
+    sig = system["ibs"]
+    with pytest.raises(MalformedEnvelope):
+        encode(dataclasses.replace(sig, challenges=(0,) + sig.challenges[1:], responses=(long_resp,) + sig.responses[1:]))
+    with pytest.raises(MalformedEnvelope):
+        decode_response_payload(b"\x00" + struct.pack(">I", 8) + b"\x00" + struct.pack(">I", n))
