@@ -272,6 +272,13 @@ class Permutation:
         self.map = images
 
     @classmethod
+    def _unchecked(cls, images) -> "Permutation":
+        """A map that is a permutation by construction, not validated again."""
+        perm = cls.__new__(cls)
+        perm.map = tuple(images)
+        return perm
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(range(n))
 
@@ -284,7 +291,7 @@ class Permutation:
         inv = [0] * len(self.map)
         for i, v in enumerate(self.map):
             inv[v] = i
-        return Permutation(inv)
+        return Permutation._unchecked(inv)
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.map == other.map
@@ -302,7 +309,7 @@ def random_permutation(n: int, rng: random.Random) -> Permutation:
         raise ParameterError(f"length must be positive, got {n}")
     images = list(range(n))
     rng.shuffle(images)
-    return Permutation(images)
+    return Permutation._unchecked(images)
 
 
 def _gather(bits: int, n: int, picks) -> int:

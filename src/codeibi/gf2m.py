@@ -221,17 +221,6 @@ def poly_mul(f: Gf2mPoly, g: Gf2mPoly, p: FieldParams) -> Gf2mPoly:
     return Gf2mPoly(out)
 
 
-def _poly_sqr(f: Gf2mPoly, p: FieldParams) -> Gf2mPoly:
-    # squaring is coefficient-wise in char 2: (sum c_i z^i)^2 = sum c_i^2 z^(2i)
-    if f.is_zero():
-        return POLY_ZERO
-    out = [0] * (2 * len(f.coeffs) - 1)
-    for i, c in enumerate(f.coeffs):
-        if c:
-            out[2 * i] = field_mul(c, c, p)
-    return Gf2mPoly(out)
-
-
 def poly_divmod(f: Gf2mPoly, g: Gf2mPoly, p: FieldParams):
     """Quotient and remainder of polynomial long division."""
     if g.is_zero():
@@ -273,8 +262,6 @@ def poly_ext_gcd(a: Gf2mPoly, b: Gf2mPoly, stop_deg, p: FieldParams):
     with deg(r) <= stop_deg.  stop_deg < 0 runs to completion and returns
     the last nonzero remainder (a gcd, up to a scalar).
     """
-    if b.is_zero():
-        raise ZeroOperand("ext_gcd with zero second operand")
     cur = (a, POLY_ONE, POLY_ZERO)
     nxt = (b, POLY_ZERO, POLY_ONE)
     while not nxt[0].is_zero() and (stop_deg < 0 or cur[0].degree > stop_deg):
@@ -300,21 +287,23 @@ def poly_inv_mod(f: Gf2mPoly, g: Gf2mPoly, p: FieldParams) -> Gf2mPoly:
     return Gf2mPoly([field_mul(c, ui, p) for ui in u.coeffs])
 
 
+def _poly_sqr_pow(h: Gf2mPoly, k: int, f: Gf2mPoly, p: FieldParams) -> Gf2mPoly:
+    """h^(2^k) mod f by k squarings; in char 2, (sum c_i z^i)^2 = sum c_i^2 z^(2i)."""
+    for _ in range(k):
+        out = [0] * (2 * len(h.coeffs) - 1)  # [] for the zero polynomial
+        for i, c in enumerate(h.coeffs):
+            if c:
+                out[2 * i] = field_mul(c, c, p)
+        h = poly_mod(Gf2mPoly(out), f, p)
+    return h
+
+
 def poly_sqrt_mod(f: Gf2mPoly, g: Gf2mPoly, p: FieldParams) -> Gf2mPoly:
     """Square root in GF(2^m)[z]/(g): f^(2^(m*t-1)) for t = deg(g)."""
     t = g.degree
     if t is NEG_INF or t < 1:
         raise ZeroOperand("modulus must have positive degree")
-    r = poly_mod(f, g, p)
-    for _ in range(p.m * int(t) - 1):
-        r = poly_mod(_poly_sqr(r, p), g, p)
-    return r
-
-
-def _poly_gcd(a: Gf2mPoly, b: Gf2mPoly, p: FieldParams) -> Gf2mPoly:
-    while not b.is_zero():
-        a, b = b, poly_mod(a, b, p)
-    return a
+    return _poly_sqr_pow(poly_mod(f, g, p), p.m * int(t) - 1, g, p)
 
 
 def is_irreducible(f: Gf2mPoly, p: FieldParams) -> bool:
@@ -322,13 +311,10 @@ def is_irreducible(f: Gf2mPoly, p: FieldParams) -> bool:
     d = f.degree
     if d is NEG_INF or d < 1:
         return False
-    if d == 1:
-        return True
     h = POLY_Z
     for _ in range(int(d) // 2):
-        for _ in range(p.m):  # h <- h^(2^m) mod f, one Frobenius step
-            h = poly_mod(_poly_sqr(h, p), f, p)
-        if _poly_gcd(poly_add(h, POLY_Z), f, p).degree != 0:
+        h = _poly_sqr_pow(h, p.m, f, p)  # one Frobenius step, h <- h^(2^m)
+        if poly_ext_gcd(poly_add(h, POLY_Z), f, -1, p)[0].degree != 0:
             return False
     return True
 

@@ -13,7 +13,6 @@ import random
 from .binmat import BitMatrix, BitVector, mat_rank, mat_vec_mul
 from .errors import DimensionMismatch, ParameterError, Undecodable
 from .gf2m import (
-    NEG_INF,
     POLY_Z,
     FieldParams,
     Gf2mPoly,
@@ -179,30 +178,21 @@ def patterson_decode(code: GoppaCode, s: BitVector) -> BitVector:
     if s.bits == 0:
         return BitVector.zeros(code.n)
 
+    # No branch for a lone error at element 0: T = z gives R = 0, ext-gcd
+    # entry (a, b) = (0, 1) and locator z.  R = 0 at no other T, as squaring
+    # is a bijection mod the irreducible g and T + z is reduced (t >= 2).  The
+    # locator is never 0: a^2 has even degree, z*b^2 odd, and ext-gcd never
+    # gives a = b = 0 (entry 0 has a = g, every later entry b != 0).
     S = syndrome_poly(code, s)
     T = poly_inv_mod(S, g, params)
-    if T == POLY_Z:
-        sigma = POLY_Z  # lone error at the support element 0
-    else:
-        R = poly_sqrt_mod(poly_add(T, POLY_Z), g, params)
-        if R.is_zero():
-            raise Undecodable("no square root branch")
-        a, _, b = poly_ext_gcd(g, R, t // 2, params)
-        za2 = poly_mul(a, a, params)
-        zb2 = poly_mul(b, b, params)
-        sigma = poly_add(za2, Gf2mPoly((0,) + zb2.coeffs))
-    if sigma.is_zero():
-        raise Undecodable("vanishing locator")
+    R = poly_sqrt_mod(poly_add(T, POLY_Z), g, params)
+    a, _, b = poly_ext_gcd(g, R, t // 2, params)
+    sigma = poly_add(poly_mul(a, a, params), Gf2mPoly((0,) + poly_mul(b, b, params).coeffs))
 
-    bits = 0
-    count = 0
-    for i in range(code.n):
-        if poly_eval(sigma, i, params) == 0:
-            bits |= 1 << i
-            count += 1
-    if sigma.degree is NEG_INF or count != sigma.degree:
+    roots = [i for i in code.support if poly_eval(sigma, i, params) == 0]
+    if len(roots) != sigma.degree:
         raise Undecodable("locator does not split over the support")
-    e = BitVector(code.n, bits)
+    e = BitVector.from_support(code.n, roots)
     if binary_syndrome(code, e) != s:
         raise Undecodable("recomputed syndrome mismatch")
     return e

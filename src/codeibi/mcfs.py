@@ -28,10 +28,11 @@ class HashSpec:
     domain_sep: int = DOMAIN_SYNDROME
 
     ALGORITHM = "sha256"
+    MAX_OUT_BITS = 256  # one digest
 
     def __post_init__(self):
-        if not 1 <= self.out_bits <= 256:
-            raise ParameterError(f"out_bits={self.out_bits} outside 1..256")
+        if not 1 <= self.out_bits <= self.MAX_OUT_BITS:
+            raise ParameterError(f"out_bits={self.out_bits} outside 1..{self.MAX_OUT_BITS}")
         if not 0 <= self.domain_sep <= 0xFF:
             raise ParameterError("domain separator must be one byte")
 

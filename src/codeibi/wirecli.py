@@ -272,10 +272,13 @@ def _dec_msk_body(r: _Reader) -> MasterSecretKey:
         raise MalformedEnvelope("non-normalized polynomial")
     q = _dec_matrix(r)
     p = Permutation(_dec_words(r))
-    fp = FieldParams(m, modulus)
-    code = code_from_poly(fp, t, Gf2mPoly(coeffs))
-    if q.nrows != m * t or q.ncols != m * t or p.n != code.n:
+    # checked before code_from_poly, whose irreducibility test grows with t;
+    # no mpk has a syndrome longer than one hash, so no usable msk does either
+    if q.nrows != m * t or q.ncols != m * t or p.n != 1 << m:
         raise MalformedEnvelope("secret key dimensions are inconsistent")
+    if m * t > HashSpec.MAX_OUT_BITS:
+        raise MalformedEnvelope(f"m*t={m * t} exceeds the {HashSpec.MAX_OUT_BITS}-bit syndrome")
+    code = code_from_poly(FieldParams(m, modulus), t, Gf2mPoly(coeffs))
     q_inv = mat_invert(q)
     return MasterSecretKey(NiedSecretKey(q, code, p, q_inv))
 

@@ -62,6 +62,19 @@ def kind_digests() -> dict:
     }
 
 
+# sha256 of encode(mpk) and encode(msk) for a seeded keygen at the paper's
+# (16,9); the irreducibility test picks the Goppa polynomial g.
+PINNED_FULL_KEYGEN = (
+    "0330797d05a338dc0e4f32ab9e95d3bd2f3132e3a2dad4ab4691fa264d8380c5",
+    "9e1d73fd243df438ca3fd75c4ad49544307262a77057cb92671236ccf29dd391",
+)
+
+
+def full_keygen_digests() -> tuple:
+    mpk, msk = master_keygen(FieldParams(16), 9, 280, random.Random(1609))
+    return tuple(hashlib.sha256(encode(v)).hexdigest() for v in (mpk, msk))
+
+
 def test_seeded_envelopes_match_pinned_digests():
     for key, digest in PINNED.items():
         assert seeded_digest(*key) == digest, key
@@ -69,6 +82,10 @@ def test_seeded_envelopes_match_pinned_digests():
 
 def test_mcfs_and_params_envelopes_match_pinned_digests():
     assert kind_digests() == PINNED_KINDS
+
+
+def test_full_scale_keygen_matches_pinned_digests():
+    assert full_keygen_digests() == PINNED_FULL_KEYGEN
 
 
 if __name__ == "__main__":
@@ -80,4 +97,7 @@ if __name__ == "__main__":
     for key, got in kind_digests().items():
         ok &= got == PINNED_KINDS[key]
         print(key, got, "ok" if got == PINNED_KINDS[key] else "MISMATCH")
+    for got, digest in zip(full_keygen_digests(), PINNED_FULL_KEYGEN):
+        ok &= got == digest
+        print("(16, 9) keygen", got, "ok" if got == digest else "MISMATCH")
     raise SystemExit(0 if ok else 1)

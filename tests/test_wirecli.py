@@ -1,5 +1,6 @@
 """Envelope codecs, the socket protocol, and the command line."""
 import dataclasses
+import os
 import random
 import shutil
 import socket
@@ -42,6 +43,7 @@ from codeibi import (
     main,
     master_keygen,
     mcfs_sign,
+    nied_keygen,
     read_envelope,
     run_prover,
     write_envelope,
@@ -51,6 +53,7 @@ from codeibi.wirecli import (
     KIND_IBS_SIG,
     KIND_MPK,
     KIND_MSK,
+    KIND_TRANSCRIPT,
     KIND_USK,
     MSG_HELLO,
     MSG_RESPONSE,
@@ -255,6 +258,17 @@ def test_peers_that_close_early_record_no_session(system):
     assert server.sessions[0].accepted and server.sessions[0].identity == b"alice"
 
 
+def test_prover_takes_an_early_verdict(system):
+    # a server that runs fewer rounds than the mpk sends its result while
+    # the prover is still committing; the prover returns that verdict
+    mpk, cred = system["mpk"], system["cred"]
+    assert mpk.stern_rounds > 3
+    with VerifierServer(mpk, seed=58, rounds=3, max_sessions=1).start() as server:
+        ok = run_prover("127.0.0.1", server.port, cred, b"alice", random.Random(59))
+    assert ok
+    assert len(server.sessions[0].rounds) == 3 and server.sessions[0].accepted
+
+
 def test_prover_raises_on_dead_server(system):
     lsock = socket.create_server(("127.0.0.1", 0))
     port = lsock.getsockname()[1]
@@ -316,6 +330,40 @@ def test_cli_prove_against_server(tmp_path):
                     "--connect", f"127.0.0.1:{server.port}", "--seed", "67"])
     assert ok == 0 and bad == 1
     assert [tr.accepted for tr in server.sessions] == [True, False]
+
+
+def test_cli_verify_serve_end_to_end(tmp_path, system):
+    mpk_p = tmp_path / "d.mpk"
+    usk_p = tmp_path / "d.usk"
+    tr_p = tmp_path / "d.transcript"
+    write_envelope(mpk_p, system["mpk"])
+    write_envelope(usk_p, system["cred"])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wirecli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "codeibi.wirecli", "verify-serve", "--mpk", str(mpk_p),
+         "--listen", "127.0.0.1:0", "--seed", "76", "--max-sessions", "1",
+         "--transcript-out", str(tr_p)],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        listening = proc.stdout.readline()
+        assert listening.startswith("listening=127.0.0.1:")
+        port = listening.strip().rpartition(":")[2]
+        assert main(["prove", "--usk", str(usk_p), "--id", "alice",
+                     "--connect", f"127.0.0.1:{port}", "--seed", "77"]) == 0
+        out, _ = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0
+    assert "session=0 id=alice" in out and "accepted=True" in out
+    tr = read_envelope(tr_p, KIND_TRANSCRIPT)
+    assert tr.accepted and tr.identity == b"alice"
+    assert len(tr.rounds) == system["mpk"].stern_rounds
 
 
 def test_cli_usage_and_io_errors(tmp_path, system):
@@ -405,6 +453,14 @@ def test_commitment_not_32_bytes_is_refused(system):
         with pytest.raises(MalformedEnvelope):
             encode(dataclasses.replace(tr, rounds=(bad_round,) + tr.rounds[1:]))
     assert ibs_verify(system["mpk"], b"alice", b"hello", sig)
+
+
+def test_msk_longer_than_one_syndrome_hash_is_refused():
+    # m*t = 270 is past every mpk's 256-bit syndrome, so no usable msk has it
+    _, sk = nied_keygen(FieldParams(9), 30, random.Random(930))
+    blob = encode(MasterSecretKey(sk))
+    with pytest.raises(MalformedEnvelope):
+        decode(blob)
 
 
 def test_word_arrays_outside_16_bits_are_malformed(system):
