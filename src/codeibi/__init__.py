@@ -8,7 +8,12 @@ identity-based layer tying the two together, an empirical attack
 harness, and a wire format plus CLI.
 
 Each module's __all__ is its public API; the package re-exports them all.
+The wire layer's names resolve on first use, so ``python -m
+codeibi.wirecli`` runs that module once, as ``__main__``, and not also
+as an import.
 """
+
+import importlib as _importlib
 
 from .binmat import *  # noqa: F401,F403
 from .errors import *  # noqa: F401,F403
@@ -19,6 +24,12 @@ from .ibi import *  # noqa: F401,F403
 from .mcfs import *  # noqa: F401,F403
 from .niederreiter import *  # noqa: F401,F403
 from .stern import *  # noqa: F401,F403
-from .wirecli import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    wirecli = _importlib.import_module(".wirecli", __name__)
+    if name in wirecli.__all__:
+        return getattr(wirecli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

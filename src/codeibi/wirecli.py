@@ -90,7 +90,7 @@ MSG_CHALLENGE = 0x12
 MSG_RESPONSE = 0x13
 MSG_RESULT = 0x14
 
-_MAX_WIRE_PAYLOAD = 1 << 28
+_MAX_WIRE_PAYLOAD = 1 << 28  # frames read by a caller that names no cap
 _MAX_WORDS = 1 << 16  # entries in a permutation or polynomial
 
 
@@ -420,6 +420,7 @@ def read_envelope(path, expect: int | None = None):
 
 
 def _send_msg(sock: socket.socket, mtype: int, payload: bytes) -> None:
+    # one sendall per frame: with TCP_NODELAY a split write would leave as two segments
     try:
         sock.sendall(struct.pack(">BI", mtype, len(payload)) + payload)
     except OSError as e:
@@ -441,22 +442,29 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def _recv_msg(sock: socket.socket):
+def _recv_msg(sock: socket.socket, cap: int = _MAX_WIRE_PAYLOAD):
+    """The next (type, payload); a frame longer than cap is refused from its header."""
     mtype, length = struct.unpack(">BI", _recv_exact(sock, 5))
     if mtype not in (MSG_HELLO, MSG_COMMIT, MSG_CHALLENGE, MSG_RESPONSE, MSG_RESULT):
         raise ProtocolViolation(f"unknown message type {mtype:#x}")
-    if length > _MAX_WIRE_PAYLOAD:
+    if length > cap:
         raise ProtocolViolation(f"payload of {length} bytes refused")
     return mtype, _recv_exact(sock, length)
 
 
-def _recv_as(sock: socket.socket, mtype: int, parse):
-    """The next message's parsed payload; None if it has another type or does not parse."""
-    got, payload = _recv_msg(sock)
-    if got != mtype:
-        return None
+def _max_frame(mpk: MasterPublicKey) -> int:
+    """The largest payload a verifier receives: a b in {0,1} response, or a COMMIT below n=64."""
+    n = mpk.nied_pk.n
+    return max(Commitments.SIZE, 1 + (4 + (n + 7) // 8) + (4 + 2 * n))
+
+
+def _recv_as(sock: socket.socket, mtype: int, parse, cap: int):
+    """The next message's parsed payload; None if refused, of another type, or unparsable."""
     try:
-        return parse(payload)
+        got, payload = _recv_msg(sock, cap)
+        return parse(payload) if got == mtype else None
+    except ChannelError:
+        raise
     except CodeIbiError:
         return None
 
@@ -482,6 +490,7 @@ class VerifierServer:
         self.rng = _make_rng(seed)
         self.max_sessions = max_sessions
         self.sessions: list[IbiTranscript] = []
+        self._frame_cap = _max_frame(mpk)
         self._sock = socket.create_server((host, port))
         self.host, self.port = self._sock.getsockname()[:2]
         self._thread: threading.Thread | None = None
@@ -497,6 +506,7 @@ class VerifierServer:
             with conn:
                 conn.settimeout(60.0)
                 try:
+                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                     transcript = self._session(conn)
                 except (CodeIbiError, OSError):
                     transcript = None
@@ -536,17 +546,18 @@ class VerifierServer:
             pass
 
     def _session(self, conn) -> IbiTranscript | None:
-        hello = _recv_as(conn, MSG_HELLO, _parse_hello)
+        cap = self._frame_cap
+        hello = _recv_as(conn, MSG_HELLO, _parse_hello, cap)
         if hello is None:
             self._reject(conn)
             return None
         verifier = Verifier(self.mpk, *hello, self.rng, self.rounds)
         while verifier.admitted and not verifier.done:
-            com = _recv_as(conn, MSG_COMMIT, Commitments.from_bytes)
+            com = _recv_as(conn, MSG_COMMIT, Commitments.from_bytes, cap)
             if com is None:
                 break
             _send_msg(conn, MSG_CHALLENGE, bytes([verifier.challenge(com)]))
-            resp = _recv_as(conn, MSG_RESPONSE, decode_response_payload)
+            resp = _recv_as(conn, MSG_RESPONSE, decode_response_payload, cap)
             if resp is None:
                 break
             verifier.check(resp)
@@ -572,17 +583,19 @@ def run_prover(
     except OSError as e:
         raise ChannelError(f"connect failed: {e}") from e
     with sock:
+        # without it Nagle holds each COMMIT until the verifier's delayed ACK
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         _send_msg(sock, MSG_HELLO, _hello_payload(identity, cred.usk.j, cred.usk.w))
         for _ in range(prover.params.rounds):
             com = prover.commit()
             _send_msg(sock, MSG_COMMIT, com.to_bytes())
-            mtype, payload = _recv_msg(sock)
+            mtype, payload = _recv_msg(sock, 1)  # a CHALLENGE or an early RESULT
             if mtype == MSG_RESULT:
                 return len(payload) == 1 and payload[0] == 1
             if mtype != MSG_CHALLENGE or len(payload) != 1 or payload[0] > 2:
                 raise ProtocolViolation("expected a ternary challenge")
             _send_msg(sock, MSG_RESPONSE, encode_response_payload(prover.respond(payload[0])))
-        mtype, payload = _recv_msg(sock)
+        mtype, payload = _recv_msg(sock, 1)
         if mtype != MSG_RESULT or len(payload) != 1 or payload[0] > 1:
             raise ProtocolViolation("expected the session result")
         return payload[0] == 1

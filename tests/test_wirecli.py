@@ -29,6 +29,7 @@ from codeibi import (
     NiedSecretKey,
     ParameterError,
     Permutation,
+    ProtocolViolation,
     Response,
     TruncatedInput,
     UserCredential,
@@ -479,3 +480,97 @@ def test_word_arrays_outside_16_bits_are_malformed(system):
         encode(dataclasses.replace(sig, challenges=(0,) + sig.challenges[1:], responses=(long_resp,) + sig.responses[1:]))
     with pytest.raises(MalformedEnvelope):
         decode_response_payload(b"\x00" + struct.pack(">I", 8) + b"\x00" + struct.pack(">I", n))
+
+
+def test_many_round_session_does_not_wait_on_delayed_acks(system):
+    # with Nagle on, each COMMIT after a RESPONSE waited for the verifier's
+    # delayed ACK, about 40 ms a round: 200 rounds took 8.8 s on loopback
+    mpk, cred = system["mpk"], system["cred"]
+    with VerifierServer(mpk, seed=80, rounds=200, max_sessions=1).start() as server:
+        start = time.perf_counter()
+        ok = run_prover("127.0.0.1", server.port, cred, b"alice", random.Random(81), rounds=200)
+        elapsed = time.perf_counter() - start
+    assert ok and len(server.sessions[0].rounds) == 200
+    assert elapsed < 2.0
+
+
+def test_frame_longer_than_one_response_is_refused_from_its_header(system):
+    # the server used to wait out its 60 s timeout for a 1 MiB COMMIT that
+    # never came, and every prover behind it waited too
+    mpk, cred = system["mpk"], system["cred"]
+    n = mpk.nied_pk.n
+    resp = Response(0, BitVector.zeros(n), perm=Permutation(range(n)))
+    cap = max(Commitments.SIZE, len(encode_response_payload(resp)))
+    assert cap == 96  # at n=32 a COMMIT outweighs a response
+    with VerifierServer(mpk, seed=82, max_sessions=3).start() as server:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=2) as sock:
+            wirecli._send_msg(sock, MSG_HELLO, wirecli._hello_payload(b"alice", 1, 2))
+            sock.sendall(struct.pack(">BI", wirecli.MSG_COMMIT, 1 << 20))
+            start = time.perf_counter()
+            mtype, payload = wirecli._recv_msg(sock)
+            assert time.perf_counter() - start < 2.0
+        assert mtype == MSG_RESULT and payload == b"\x00"
+        # a HELLO is held to the same cap
+        long_id = bytes(cap - 4 - 10 + 1)
+        with socket.create_connection(("127.0.0.1", server.port), timeout=2) as sock:
+            wirecli._send_msg(sock, MSG_HELLO, wirecli._hello_payload(long_id, 1, 2))
+            mtype, payload = wirecli._recv_msg(sock)
+        assert mtype == MSG_RESULT and payload == b"\x00"
+        assert run_prover("127.0.0.1", server.port, cred, b"alice", random.Random(83))
+    assert [tr.accepted for tr in server.sessions] == [False, True]
+    assert server.sessions[0].rounds == ()
+    assert wirecli._max_frame(mpk) == cap
+
+
+def test_frame_cap_admits_every_honest_frame_once_responses_outgrow_commits():
+    rng = random.Random(85)
+    mpk, msk = master_keygen(FieldParams(6), 2, 20, rng)
+    cred = UserCredential(extract_user_key(msk, mpk, b"alice", rng), mpk)
+    n = mpk.nied_pk.n
+    resp = Response(1, BitVector.zeros(n), perm=Permutation(range(n)))
+    assert wirecli._max_frame(mpk) == len(encode_response_payload(resp)) == 145
+    with VerifierServer(mpk, seed=86, max_sessions=1).start() as server:
+        assert run_prover("127.0.0.1", server.port, cred, b"alice", random.Random(87))
+    assert {rt.challenge for rt in server.sessions[0].rounds} == {0, 1, 2}
+
+
+def test_prover_refuses_a_frame_longer_than_a_challenge(system):
+    lsock = socket.create_server(("127.0.0.1", 0))
+    port = lsock.getsockname()[1]
+
+    def oversized_challenge():
+        conn, _ = lsock.accept()
+        with conn:
+            wirecli._recv_msg(conn)  # HELLO
+            wirecli._recv_msg(conn)  # COMMIT
+            conn.sendall(struct.pack(">BI", wirecli.MSG_CHALLENGE, 1 << 20))
+            conn.recv(16)  # hold the connection until the prover hangs up
+
+    thread = threading.Thread(target=oversized_challenge, daemon=True)
+    thread.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ProtocolViolation):
+            run_prover("127.0.0.1", port, system["cred"], b"alice", random.Random(84))
+        assert time.perf_counter() - start < 2.0
+    finally:
+        thread.join(timeout=10)
+        lsock.close()
+
+
+def test_module_cli_starts_without_a_runtime_warning():
+    # the package imported wirecli eagerly, so runpy found it in sys.modules
+    # before running it as __main__, warned, and loaded it twice
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wirecli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "codeibi.wirecli", "estimate", "--m", "5", "--t", "2",
+         "--rounds-ibi", "9", "--rounds-ibs", "9"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "pk_bits=10" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
