@@ -278,10 +278,6 @@ class Permutation:
         perm.map = tuple(images)
         return perm
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
-
     @property
     def n(self) -> int:
         return len(self.map)

@@ -57,13 +57,14 @@ class GoppaCode:
         return f"GoppaCode(m={self.params.m}, t={self.t}, n={self.n}, k={self.k})"
 
 
-def _check_code_params(params: FieldParams, t: int) -> None:
-    if not 3 <= params.m <= 16:
-        raise ParameterError(f"m={params.m} outside the supported range 3..16")
+def _check_code_params(m: int, t: int) -> None:
+    """The (m, t) a code may have; an mpk decoder holds its key to the same."""
+    if not 3 <= m <= 16:
+        raise ParameterError(f"m={m} outside the supported range 3..16")
     if t < 2:
         raise ParameterError(f"t={t} too small; need t >= 2")
-    if params.m * t >= (1 << params.m):
-        raise ParameterError(f"m*t={params.m * t} leaves no code dimension")
+    if m * t >= (1 << m):
+        raise ParameterError(f"m*t={m * t} leaves no code dimension")
 
 
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
@@ -91,7 +92,7 @@ def _assemble_parity(params: FieldParams, t: int, g: Gf2mPoly) -> BitMatrix:
 
 def code_from_poly(params: FieldParams, t: int, g: Gf2mPoly) -> GoppaCode:
     """Code for a caller-supplied Goppa polynomial; parity matrix must be full rank."""
-    _check_code_params(params, t)
+    _check_code_params(params.m, t)
     if g.degree != t or g.coeffs[-1] != 1:
         raise ParameterError("Goppa polynomial must be monic of degree t")
     if any(c >> params.m for c in g.coeffs):
@@ -106,7 +107,7 @@ def code_from_poly(params: FieldParams, t: int, g: Gf2mPoly) -> GoppaCode:
 
 def build_goppa(params: FieldParams, t: int, rng: random.Random) -> GoppaCode:
     """Random irreducible Goppa code; redraws g until H_bin has full rank."""
-    _check_code_params(params, t)
+    _check_code_params(params.m, t)
     while True:
         g = random_irreducible(t, params, rng)
         H = _assemble_parity(params, t, g)

@@ -97,7 +97,7 @@ def cheat_commit(
     if strategy is CheatStrategy.FORGE_C1:
         # commit to the syndrome the b=1 opening will exhibit
         syn = state.syn_y ^ mat_vec_mul(params.pk_matrix, s_fake) ^ identifier
-        c1 = _commit(params.domain_sep, encode_perm(state.sigma), syn.to_bytes())
+        c1 = _commit(encode_perm(state.sigma), syn.to_bytes())
         com = dataclasses.replace(com, c1=c1)
     return CheatState(strategy, state, s_fake), com
 
@@ -168,8 +168,7 @@ def impersonation_game(cfg: GameConfig) -> GameResult:
             verifier = Verifier(mpk, identity, j, cfg.t, rng)
             while not verifier.done:
                 state, com = cheat_commit(rng.choice(strategies), params, identifier, cfg.t, rng)
-                if not verifier.check(cheat_respond(state, verifier.challenge(com))):
-                    break
+                verifier.check(cheat_respond(state, verifier.challenge(com)))
             successes += verifier.accepted
         bound = (2.0 / 3.0) ** cfg.rounds
     else:

@@ -15,13 +15,12 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .binmat import BitVector, mat_vec_mul
+from .binmat import BitVector
 from .errors import CodeIbiError, ParameterError, ProtocolViolation
 from .gf2m import FieldParams
-from .mcfs import HashSpec, hash_to_syndrome, mcfs_sign
+from .mcfs import HashSpec, hash_to_syndrome, mcfs_sign, mcfs_verify
 from .niederreiter import NiedPublicKey, NiedSecretKey, nied_keygen
 from .stern import (
-    DOMAIN_COMMIT,
     Commitments,
     Response,
     RoundTranscript,
@@ -60,7 +59,6 @@ class MasterPublicKey:
     nied_pk: NiedPublicKey
     hash_spec: HashSpec
     stern_rounds: int
-    commit_domain_sep: int = DOMAIN_COMMIT
 
     def stern_params(self, rounds: int | None = None) -> SternParams:
         return SternParams(
@@ -68,7 +66,6 @@ class MasterPublicKey:
             self.nied_pk.t,
             self.stern_rounds if rounds is None else rounds,
             self.nied_pk.h_tilde,
-            self.commit_domain_sep,
         )
 
 
@@ -127,10 +124,9 @@ def extract_user_key(
 ) -> UserSecretKey:
     """Authority-side key issuance: sign the identity string."""
     sig = mcfs_sign(msk.nied_sk, mpk.hash_spec, identity, rng, retry_cap)
-    usk = UserSecretKey(sig.x, sig.i, sig.x.weight(), sig.attempts)
-    if mat_vec_mul(mpk.nied_pk.h_tilde, usk.s) != derive_identifier(mpk, identity, usk.j):
+    if not mcfs_verify(mpk.nied_pk, mpk.hash_spec, identity, sig):
         raise CodeIbiError("extracted key fails its own identity equation")
-    return usk
+    return UserSecretKey(sig.x, sig.i, sig.x.weight(), sig.attempts)
 
 
 class Prover:
@@ -160,10 +156,10 @@ class Verifier:
     """Verifier side of one session, whatever carries its messages.
 
     Admits (identity, j, w) only within the mpk's bounds, then checks and
-    records rounds until it holds k of them, and accepts only if every
-    one passed.  challenge() draws a round's challenge from rng and
-    check() settles that round; record() settles a round whose challenge
-    was derived elsewhere, as a signature's are.
+    records rounds until one fails or it holds k of them, and accepts
+    only if all k passed.  challenge() draws a round's challenge from rng
+    and check() settles that round; record() settles a round whose
+    challenge was derived elsewhere, as a signature's are.
     """
 
     def __init__(
@@ -185,11 +181,16 @@ class Verifier:
 
     @property
     def done(self) -> bool:
-        return self.admitted and len(self.rounds) == self.params.rounds
+        """Refused at admission, or the last round failed, or k rounds passed."""
+        return (
+            not self.admitted
+            or bool(self.rounds) and not self.rounds[-1].accepted
+            or len(self.rounds) == self.params.rounds
+        )
 
     @property
     def accepted(self) -> bool:
-        return self.done and all(rt.accepted for rt in self.rounds)
+        return self.done and bool(self.rounds) and self.rounds[-1].accepted
 
     def challenge(self, com: Commitments) -> int:
         self._pending = (com, draw_challenge(self.rng))
@@ -200,7 +201,7 @@ class Verifier:
         return self.record(com, ch, resp)
 
     def record(self, com: Commitments, ch: int, resp: Response) -> bool:
-        if not self.admitted or self.done:
+        if self.done:
             raise ProtocolViolation("session takes no further rounds")
         ok = verify_round(self.params, self.identifier, com, ch, resp, weight=self.w)
         self.rounds.append(RoundTranscript(com, ch, resp, ok))
@@ -220,11 +221,10 @@ def ibi_identify(
 ) -> IbiTranscript:
     """In-process identification session; mirrors the wire protocol."""
     verifier = Verifier(mpk, identity, usk.j, usk.w, verifier_rng, rounds)
-    if verifier.admitted:
-        prover = Prover(usk, mpk, prover_rng, rounds)
-        while not verifier.done:
-            ch = verifier.challenge(prover.commit())
-            verifier.check(prover.respond(ch))
+    prover = Prover(usk, mpk, prover_rng, rounds)
+    while not verifier.done:
+        ch = verifier.challenge(prover.commit())
+        verifier.check(prover.respond(ch))
     return verifier.transcript()
 
 

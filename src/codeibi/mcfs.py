@@ -27,7 +27,6 @@ class HashSpec:
     out_bits: int
     domain_sep: int = DOMAIN_SYNDROME
 
-    ALGORITHM = "sha256"
     MAX_OUT_BITS = 256  # one digest
 
     def __post_init__(self):

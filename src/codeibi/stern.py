@@ -59,7 +59,6 @@ class SternParams:
     t: int
     rounds: int
     pk_matrix: BitMatrix
-    domain_sep: int = DOMAIN_COMMIT
 
     def __post_init__(self):
         if self.pk_matrix.ncols != self.n:
@@ -136,8 +135,8 @@ def encode_perm(perm: Permutation) -> bytes:
     return struct.pack(f">{perm.n}H", *perm.map)
 
 
-def _commit(domain_sep: int, *parts: bytes) -> bytes:
-    h = hashlib.sha256(bytes([domain_sep]))
+def _commit(*parts: bytes) -> bytes:
+    h = hashlib.sha256(bytes([DOMAIN_COMMIT]))
     for part in parts:
         h.update(part)
     return h.digest()
@@ -153,11 +152,10 @@ def stern_commit(params: SternParams, secret: SternSecret, rng: random.Random):
     sigma_inv = sigma.inverse()  # one inverse serves both sigma(y) and sigma(s)
     sig_y = apply_inverse_permutation(sigma_inv, y)
     sig_s = apply_inverse_permutation(sigma_inv, secret.s)
-    ds = params.domain_sep
     com = Commitments(
-        _commit(ds, encode_perm(sigma), syn_y.to_bytes()),
-        _commit(ds, sig_y.to_bytes()),
-        _commit(ds, (sig_y ^ sig_s).to_bytes()),
+        _commit(encode_perm(sigma), syn_y.to_bytes()),
+        _commit(sig_y.to_bytes()),
+        _commit((sig_y ^ sig_s).to_bytes()),
     )
     return ProverRoundState(y, sigma, sig_y, sig_s, syn_y), com
 
@@ -188,7 +186,6 @@ def verify_round(
     to the full decoding bound t.
     """
     w = params.t if weight is None else weight
-    ds = params.domain_sep
     try:
         if resp.b != ch or resp.vec is None or resp.vec.n != params.n:
             return False
@@ -200,15 +197,15 @@ def verify_round(
             if ch == 1:
                 syn ^= identifier
             opened = com.c3 if ch else com.c2
-            return com.c1 == _commit(ds, encode_perm(resp.perm), syn.to_bytes()) and opened == _commit(
-                ds, apply_permutation(resp.perm, resp.vec).to_bytes()
+            return com.c1 == _commit(encode_perm(resp.perm), syn.to_bytes()) and opened == _commit(
+                apply_permutation(resp.perm, resp.vec).to_bytes()
             )
         if ch == 2:
             if resp.vec2 is None or resp.vec2.n != params.n:
                 return False
             return (
-                com.c2 == _commit(ds, resp.vec.to_bytes())
-                and com.c3 == _commit(ds, (resp.vec ^ resp.vec2).to_bytes())
+                com.c2 == _commit(resp.vec.to_bytes())
+                and com.c3 == _commit((resp.vec ^ resp.vec2).to_bytes())
                 and resp.vec2.weight() == w
             )
         return False
@@ -233,18 +230,18 @@ def run_identification(
     rounds: int | None = None,
     weight: int | None = None,
 ):
-    """In-process protocol run; returns (transcripts, accept decision)."""
+    """In-process run up to its first failed round; returns (transcripts, accept decision)."""
     k = params.rounds if rounds is None else rounds
     transcripts = []
-    decision = True
     for _ in range(k):
         state, com = stern_commit(params, secret, prover_rng)
         ch = draw_challenge(verifier_rng)
         resp = stern_respond(state, secret, ch)
         ok = verify_round(params, identifier, com, ch, resp, weight)
         transcripts.append(RoundTranscript(com, ch, resp, ok))
-        decision = decision and ok
-    return transcripts, decision
+        if not ok:
+            return transcripts, False
+    return transcripts, True
 
 
 def rounds_for_security(beta: float) -> int:

@@ -35,7 +35,7 @@ from .errors import (
     VersionMismatch,
 )
 from .gf2m import FieldParams, Gf2mPoly
-from .goppa import code_from_poly
+from .goppa import _check_code_params, code_from_poly
 from .harness import GameConfig, brute_force_decode, estimate_costs, impersonation_game
 from .ibi import (
     IbiTranscript,
@@ -53,7 +53,7 @@ from .ibi import (
 )
 from .mcfs import HashSpec, McfsSignature
 from .niederreiter import NiedPublicKey, NiedSecretKey, nied_decrypt, nied_keygen
-from .stern import Commitments, Response, RoundTranscript
+from .stern import DOMAIN_COMMIT, Commitments, Response, RoundTranscript
 
 __all__ = [
     "KIND_IBS_SIG",
@@ -240,18 +240,21 @@ def _parse_hello(payload: bytes) -> tuple:
 def _enc_mpk_body(mpk: MasterPublicKey) -> bytes:
     pk = mpk.nied_pk
     m = (pk.n - 1).bit_length()
-    ds = (mpk.hash_spec.domain_sep, mpk.commit_domain_sep)
-    return struct.pack(">BHHBB", m, pk.t, mpk.stern_rounds, *ds) + _enc_matrix(pk.h_tilde)
+    head = (m, pk.t, mpk.stern_rounds, mpk.hash_spec.domain_sep, DOMAIN_COMMIT)
+    return struct.pack(">BHHBB", *head) + _enc_matrix(pk.h_tilde)
 
 
 def _dec_mpk_body(r: _Reader) -> MasterPublicKey:
     m, t, rounds, ds_syn, ds_commit = r.unpack(">BHHBB")
+    if ds_commit != DOMAIN_COMMIT:
+        raise MalformedEnvelope(f"commit domain {ds_commit:#x}, not {DOMAIN_COMMIT:#x}")
+    _check_code_params(m, t)
     h = _dec_matrix(r)
     n = 1 << m
     if h.ncols != n or h.nrows != m * t or rounds < 1:
         raise MalformedEnvelope("public key dimensions are inconsistent")
     pk = NiedPublicKey(h, n, n - m * t, t)
-    return MasterPublicKey(pk, HashSpec(m * t, ds_syn), rounds, ds_commit)
+    return MasterPublicKey(pk, HashSpec(m * t, ds_syn), rounds)
 
 
 def _enc_msk_body(msk: MasterSecretKey) -> bytes:
@@ -292,6 +295,8 @@ def _dec_usk_body(r: _Reader) -> UserCredential:
     j, w = r.unpack(">QH")
     s = _dec_bitvec(r)
     mpk = _dec_mpk_body(r)
+    if s.n != mpk.nied_pk.n or w != s.weight() or w > mpk.nied_pk.t:
+        raise MalformedEnvelope("secret does not fit its credential")
     return UserCredential(UserSecretKey(s, j, w), mpk)
 
 
@@ -539,9 +544,10 @@ class VerifierServer:
     def __exit__(self, *exc):
         self.stop()
 
-    def _reject(self, conn) -> None:
+    def _send_result(self, conn, accepted: bool) -> None:
+        # the verdict stands whether or not the peer is still there to read it
         try:
-            _send_msg(conn, MSG_RESULT, b"\x00")
+            _send_msg(conn, MSG_RESULT, bytes([accepted]))
         except ChannelError:
             pass
 
@@ -549,10 +555,10 @@ class VerifierServer:
         cap = self._frame_cap
         hello = _recv_as(conn, MSG_HELLO, _parse_hello, cap)
         if hello is None:
-            self._reject(conn)
+            self._send_result(conn, False)
             return None
         verifier = Verifier(self.mpk, *hello, self.rng, self.rounds)
-        while verifier.admitted and not verifier.done:
+        while not verifier.done:
             com = _recv_as(conn, MSG_COMMIT, Commitments.from_bytes, cap)
             if com is None:
                 break
@@ -561,10 +567,7 @@ class VerifierServer:
             if resp is None:
                 break
             verifier.check(resp)
-        if verifier.done:
-            _send_msg(conn, MSG_RESULT, bytes([verifier.accepted]))
-        else:
-            self._reject(conn)
+        self._send_result(conn, verifier.accepted)
         return verifier.transcript()
 
 

@@ -11,6 +11,7 @@ from codeibi import (
     ProtocolViolation,
     Prover,
     Response,
+    UserSecretKey,
     Verifier,
     cheat_commit,
     cheat_respond,
@@ -252,3 +253,33 @@ def test_prover_verifier_all_commits_first_matches_one_round_at_a_time():
     assert batched.accepted and len(batched.rounds) == 12
     assert batched == session(False)
     assert batched == ibi_identify(usk, mpk, b"ivy", random.Random(38), random.Random(39))
+
+
+def wrong_key(mpk, msk, identity, seed):
+    """A random weight-t key under a counter the identity really has."""
+    rng = random.Random(seed)
+    usk = extract_user_key(msk, mpk, identity, rng)
+    t = mpk.nied_pk.t
+    return UserSecretKey(BitVector.random_weight(mpk.nied_pk.n, t, rng), usk.j, t)
+
+
+def test_wrong_key_session_ends_at_its_first_failed_round():
+    mpk, msk = authority(rounds=30, seed=40)
+    wrong = wrong_key(mpk, msk, b"judy", 41)
+    tr = ibi_identify(wrong, mpk, b"judy", random.Random(42), random.Random(43))
+    assert not tr.accepted
+    assert 1 <= len(tr.rounds) < mpk.stern_rounds
+    assert not tr.rounds[-1].accepted
+    assert all(rt.accepted for rt in tr.rounds[:-1])
+
+
+def test_verifier_takes_no_round_after_a_failed_one():
+    mpk, msk = authority(rounds=30, seed=44)
+    wrong = wrong_key(mpk, msk, b"kim", 45)
+    prover = Prover(wrong, mpk, random.Random(46))
+    verifier = Verifier(mpk, b"kim", wrong.j, wrong.w, random.Random(47))
+    while verifier.check(prover.respond(verifier.challenge(prover.commit()))):
+        assert not verifier.done
+    assert verifier.done and not verifier.accepted
+    with pytest.raises(ProtocolViolation):
+        verifier.record(verifier.rounds[0].commitments, 0, verifier.rounds[0].response)

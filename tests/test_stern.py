@@ -211,3 +211,14 @@ def test_commitments_bytes_round_trip_and_refuse_other_lengths():
     for size in (95, 97):
         with pytest.raises(MalformedEnvelope):
             Commitments.from_bytes(bytes(size))
+
+
+def test_run_identification_stops_at_the_first_failed_round():
+    params, _, identifier = setup(rounds=30, seed=3)
+    s2 = BitVector.random_weight(params.n, params.t, random.Random(120))
+    assert mat_vec_mul(params.pk_matrix, s2) != identifier
+    transcripts, ok = run_identification(
+        params, SternSecret(s2), identifier, random.Random(121), random.Random(122), weight=params.t
+    )
+    assert not ok and len(transcripts) < 30
+    assert [t.accepted for t in transcripts] == [True] * (len(transcripts) - 1) + [False]

@@ -33,6 +33,7 @@ from codeibi import (
     Response,
     TruncatedInput,
     UserCredential,
+    UserSecretKey,
     VerifierServer,
     VersionMismatch,
     decode,
@@ -574,3 +575,60 @@ def test_module_cli_starts_without_a_runtime_warning():
     assert proc.returncode == 0
     assert "pk_bits=10" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_wrong_key_wire_session_matches_in_process_and_ends_early(system):
+    mpk, usk = system["mpk"], system["cred"].usk
+    t = mpk.nied_pk.t
+    wrong = UserSecretKey(BitVector.random_weight(mpk.nied_pk.n, t, random.Random(60)), usk.j, t)
+    with VerifierServer(mpk, seed=61, rounds=30, max_sessions=1).start() as server:
+        ok = run_prover(
+            "127.0.0.1", server.port, UserCredential(wrong, mpk), b"alice", random.Random(62), rounds=30
+        )
+    assert not ok
+    assert len(server.sessions) == 1
+    local = ibi_identify(wrong, mpk, b"alice", random.Random(62), random.Random(61), rounds=30)
+    assert encode(server.sessions[0]) == encode(local)
+    assert len(local.rounds) < 30 and not local.rounds[-1].accepted
+
+
+def mpk_blob(m, t, commit_domain=0x02):
+    """An mpk envelope with an all-zero matrix of the shape (m, t) implies."""
+    n = 1 << m
+    body = struct.pack(">BHHBB", m, t, 9, 0x01, commit_domain)
+    body += struct.pack(">II", m * t, n) + bytes(m * t * ((n + 7) // 8))
+    return b"CIBI" + bytes([1, KIND_MPK]) + struct.pack(">Q", len(body)) + body
+
+
+def test_mpk_decoder_refuses_sizes_no_keygen_makes(system):
+    assert decode(mpk_blob(5, 2)).nied_pk.n == 32
+    # m < 3 and t < 2 make no Goppa code; (3, 3) has k = -1; (20, 1) has n = 2^20
+    for m, t in ((1, 1), (2, 1), (3, 3), (20, 1)):
+        with pytest.raises(MalformedEnvelope):
+            decode(mpk_blob(m, t))
+
+
+def test_mpk_decoder_refuses_any_other_commit_domain(system):
+    blob = bytearray(encode(system["mpk"]))
+    assert blob[20] == 0x02  # magic, version, kind, length, then m, t, rounds, syndrome domain
+    blob[20] = 0x07
+    with pytest.raises(MalformedEnvelope):
+        decode(bytes(blob))
+    with pytest.raises(MalformedEnvelope):
+        decode(mpk_blob(5, 2, commit_domain=0x07))
+
+
+def test_usk_decoder_refuses_a_secret_that_does_not_fit_its_credential(system):
+    usk, mpk = system["cred"].usk, system["mpk"]
+    assert (mpk.nied_pk.n, mpk.nied_pk.t) == (32, 2) and usk.w >= 1
+    rng = random.Random(63)
+    misfits = [
+        UserSecretKey(BitVector.random_weight(7, usk.w, rng), usk.j, usk.w),  # s shorter than n
+        dataclasses.replace(usk, w=5),
+        dataclasses.replace(usk, w=0),
+        UserSecretKey(BitVector.random_weight(32, 3, rng), usk.j, 3),  # w = weight, but over t
+    ]
+    for bad in misfits:
+        with pytest.raises(MalformedEnvelope):
+            decode(encode(UserCredential(bad, mpk)))
+    assert decode(encode(system["cred"])) == system["cred"]
