@@ -11,6 +11,7 @@ commitments, the identity, the counter, and the message.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -29,6 +30,7 @@ from .stern import (
     draw_challenge,
     stern_commit,
     stern_respond,
+    ternary_challenges,
     verify_round,
 )
 
@@ -238,11 +240,11 @@ def fs_challenges(
 ) -> list:
     """Derived ternary challenges for the non-interactive variant.
 
-    One candidate byte per challenge, rejecting bytes >= 252, refilling
-    from SHA-256 over (identity, j, every commitment, message, block
-    counter) with the block counter bumped per refill.  Neither mpk nor
-    the round count is hashed, and the commitments do not bind the
-    matrix either: c1 hashes H*y, not H.
+    The bytes of SHA-256 over (identity, j, every commitment, message,
+    block counter), for block counter 0, 1, 2, ..., feed
+    stern.ternary_challenges.  Neither mpk nor the round count is
+    hashed, and the commitments do not bind the matrix either: c1 hashes
+    H*y, not H.
     """
     prefix = hashlib.sha256()
     prefix.update(bytes([DOMAIN_FS]))
@@ -253,18 +255,14 @@ def fs_challenges(
     prefix.update(commitments_blob)
     prefix.update(len(msg).to_bytes(8, "big"))
     prefix.update(msg)
-    out = []
-    block = 0
-    while len(out) < rounds:
-        h = prefix.copy()
-        h.update(block.to_bytes(8, "big"))
-        for c in h.digest():
-            if c < 252:
-                out.append(c % 3)
-                if len(out) == rounds:
-                    break
-        block += 1
-    return out
+
+    def stream():
+        for block in itertools.count():
+            h = prefix.copy()
+            h.update(block.to_bytes(8, "big"))
+            yield from h.digest()
+
+    return list(itertools.islice(ternary_challenges(stream()), rounds))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .binmat import (
@@ -42,9 +43,9 @@ __all__ = [
     "draw_challenge",
     "encode_perm",
     "rounds_for_security",
-    "run_identification",
     "stern_commit",
     "stern_respond",
+    "ternary_challenges",
     "verify_round",
 ]
 
@@ -213,35 +214,18 @@ def verify_round(
         return False
 
 
+def ternary_challenges(stream: Iterable[int]) -> Iterator[int]:
+    """Uniform ternary challenges from uniform bytes.
+
+    Drops each byte of 252 or more and reduces the rest mod 3; since
+    252 = 3 * 84, each challenge value comes from 84 of the bytes kept.
+    """
+    return (c % 3 for c in stream if c < 252)
+
+
 def draw_challenge(rng: random.Random) -> int:
-    """Uniform ternary challenge; single-byte rejection sampling below 252."""
-    while True:
-        c = rng.getrandbits(8)
-        if c < 252:
-            return c % 3
-
-
-def run_identification(
-    params: SternParams,
-    secret: SternSecret,
-    identifier: BitVector,
-    prover_rng: random.Random,
-    verifier_rng: random.Random,
-    rounds: int | None = None,
-    weight: int | None = None,
-):
-    """In-process run up to its first failed round; returns (transcripts, accept decision)."""
-    k = params.rounds if rounds is None else rounds
-    transcripts = []
-    for _ in range(k):
-        state, com = stern_commit(params, secret, prover_rng)
-        ch = draw_challenge(verifier_rng)
-        resp = stern_respond(state, secret, ch)
-        ok = verify_round(params, identifier, com, ch, resp, weight)
-        transcripts.append(RoundTranscript(com, ch, resp, ok))
-        if not ok:
-            return transcripts, False
-    return transcripts, True
+    """One ternary challenge from rng's 8-bit draws."""
+    return next(ternary_challenges(iter(lambda: rng.getrandbits(8), None)))
 
 
 def rounds_for_security(beta: float) -> int:

@@ -51,7 +51,7 @@ from .ibi import (
     ibs_verify,
     master_keygen,
 )
-from .mcfs import HashSpec, McfsSignature
+from .mcfs import DOMAIN_SYNDROME, HashSpec, McfsSignature
 from .niederreiter import NiedPublicKey, NiedSecretKey, nied_decrypt, nied_keygen
 from .stern import DOMAIN_COMMIT, Commitments, Response, RoundTranscript
 
@@ -246,15 +246,16 @@ def _enc_mpk_body(mpk: MasterPublicKey) -> bytes:
 
 def _dec_mpk_body(r: _Reader) -> MasterPublicKey:
     m, t, rounds, ds_syn, ds_commit = r.unpack(">BHHBB")
-    if ds_commit != DOMAIN_COMMIT:
-        raise MalformedEnvelope(f"commit domain {ds_commit:#x}, not {DOMAIN_COMMIT:#x}")
+    if (ds_syn, ds_commit) != (DOMAIN_SYNDROME, DOMAIN_COMMIT):
+        want = f"{DOMAIN_SYNDROME:#x}, {DOMAIN_COMMIT:#x}"
+        raise MalformedEnvelope(f"domain bytes {ds_syn:#x}, {ds_commit:#x}, not {want}")
     _check_code_params(m, t)
     h = _dec_matrix(r)
     n = 1 << m
     if h.ncols != n or h.nrows != m * t or rounds < 1:
         raise MalformedEnvelope("public key dimensions are inconsistent")
     pk = NiedPublicKey(h, n, n - m * t, t)
-    return MasterPublicKey(pk, HashSpec(m * t, ds_syn), rounds)
+    return MasterPublicKey(pk, HashSpec(m * t), rounds)
 
 
 def _enc_msk_body(msk: MasterSecretKey) -> bytes:
@@ -295,7 +296,8 @@ def _dec_usk_body(r: _Reader) -> UserCredential:
     j, w = r.unpack(">QH")
     s = _dec_bitvec(r)
     mpk = _dec_mpk_body(r)
-    if s.n != mpk.nied_pk.n or w != s.weight() or w > mpk.nied_pk.t:
+    pk = mpk.nied_pk
+    if s.n != pk.n or w != s.weight() or w > pk.t or not 1 <= j <= mpk.hash_spec.counter_max:
         raise MalformedEnvelope("secret does not fit its credential")
     return UserCredential(UserSecretKey(s, j, w), mpk)
 
@@ -352,6 +354,10 @@ def _dec_transcript_body(r: _Reader) -> IbiTranscript:
         if ok > 1:
             raise MalformedEnvelope("bad accept flag")
         rounds.append(RoundTranscript(com, ch, resp, bool(ok)))
+    # a verifier stops at the first failed round and accepts only after a passed one
+    passed = [rt.accepted for rt in rounds]
+    if not all(passed[:-1]) or accepted and passed[-1:] != [True]:
+        raise MalformedEnvelope("verdict contradicts its rounds")
     return IbiTranscript(identity, j, w, bool(accepted), tuple(rounds))
 
 
@@ -499,14 +505,13 @@ class VerifierServer:
         self._sock = socket.create_server((host, port))
         self.host, self.port = self._sock.getsockname()[:2]
         self._thread: threading.Thread | None = None
-        self._stopping = False
 
     def serve_forever(self) -> None:
         served = 0
-        while not self._stopping and (self.max_sessions is None or served < self.max_sessions):
+        while self.max_sessions is None or served < self.max_sessions:
             try:
                 conn, _ = self._sock.accept()
-            except OSError:
+            except OSError:  # stop() shut the listening socket down
                 break
             with conn:
                 conn.settimeout(60.0)
@@ -525,7 +530,6 @@ class VerifierServer:
         return self
 
     def stop(self) -> None:
-        self._stopping = True
         try:
             # shutdown, unlike close, wakes a thread blocked in accept()
             self._sock.shutdown(socket.SHUT_RDWR)

@@ -75,6 +75,19 @@ def full_keygen_digests() -> tuple:
     return tuple(hashlib.sha256(encode(v)).hexdigest() for v in (mpk, msk))
 
 
+# sha256 of encode(transcript) for a seeded (10,3) session in which a real
+# key answers for another identity.  It is refused at its tenth of 20
+# rounds, after one challenge byte of 252 or more was redrawn.
+PINNED_WRONG_KEY = "7db270e3ca50ebf4ed6264092f5b8d8d1345c4ca67580ccc6ab7191170cc51d6"
+
+
+def wrong_key_transcript():
+    rng = random.Random(73)
+    mpk, msk = master_keygen(FieldParams(10), 3, 20, rng)
+    usk = extract_user_key(msk, mpk, b"pinned", rng)
+    return ibi_identify(usk, mpk, b"impostor", random.Random(109), random.Random(110))
+
+
 def test_seeded_envelopes_match_pinned_digests():
     for key, digest in PINNED.items():
         assert seeded_digest(*key) == digest, key
@@ -82,6 +95,12 @@ def test_seeded_envelopes_match_pinned_digests():
 
 def test_mcfs_and_params_envelopes_match_pinned_digests():
     assert kind_digests() == PINNED_KINDS
+
+
+def test_wrong_key_transcript_matches_pinned_digest():
+    tr = wrong_key_transcript()
+    assert not tr.accepted and len(tr.rounds) == 10
+    assert hashlib.sha256(encode(tr)).hexdigest() == PINNED_WRONG_KEY
 
 
 def test_full_scale_keygen_matches_pinned_digests():
@@ -97,6 +116,9 @@ if __name__ == "__main__":
     for key, got in kind_digests().items():
         ok &= got == PINNED_KINDS[key]
         print(key, got, "ok" if got == PINNED_KINDS[key] else "MISMATCH")
+    got = hashlib.sha256(encode(wrong_key_transcript())).hexdigest()
+    ok &= got == PINNED_WRONG_KEY
+    print("wrong key", got, "ok" if got == PINNED_WRONG_KEY else "MISMATCH")
     for got, digest in zip(full_keygen_digests(), PINNED_FULL_KEYGEN):
         ok &= got == digest
         print("(16, 9) keygen", got, "ok" if got == digest else "MISMATCH")

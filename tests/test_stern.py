@@ -19,7 +19,6 @@ from codeibi import (
     mat_vec_mul,
     nied_keygen,
     rounds_for_security,
-    run_identification,
     stern_commit,
     stern_respond,
     verify_round,
@@ -151,39 +150,6 @@ def test_draw_challenge_uniform():
         assert abs(c / 30000 - 1 / 3) < 0.01
 
 
-def test_run_identification_honest():
-    params, secret, identifier = setup(rounds=20)
-    transcripts, ok = run_identification(
-        params, secret, identifier, random.Random(1), random.Random(2)
-    )
-    assert ok and len(transcripts) == 20
-    assert all(t.accepted for t in transcripts)
-
-
-def test_run_identification_round_override():
-    params, secret, identifier = setup(rounds=5)
-    t1, _ = run_identification(params, secret, identifier, random.Random(3), random.Random(4), rounds=1)
-    t2, _ = run_identification(params, secret, identifier, random.Random(3), random.Random(4), rounds=2)
-    assert len(t1) == 1 and len(t2) == 2
-
-
-def test_run_identification_wrong_secret_rate():
-    params, _, identifier = setup(rounds=1)
-    rng = random.Random(110)
-    accepted = 0
-    trials = 2000
-    for _ in range(trials):
-        s2 = BitVector.random_weight(params.n, params.t, rng)
-        if mat_vec_mul(params.pk_matrix, s2) == identifier:
-            continue
-        _, ok = run_identification(
-            params, SternSecret(s2), identifier, rng, rng, weight=params.t
-        )
-        accepted += ok
-    # passes only when the single challenge lands in the two answerable slots
-    assert abs(accepted / trials - 2 / 3) < 0.04
-
-
 def test_rounds_for_security():
     assert rounds_for_security(2 / 3) == 1
     assert rounds_for_security((2 / 3) ** 58) == 58
@@ -211,14 +177,3 @@ def test_commitments_bytes_round_trip_and_refuse_other_lengths():
     for size in (95, 97):
         with pytest.raises(MalformedEnvelope):
             Commitments.from_bytes(bytes(size))
-
-
-def test_run_identification_stops_at_the_first_failed_round():
-    params, _, identifier = setup(rounds=30, seed=3)
-    s2 = BitVector.random_weight(params.n, params.t, random.Random(120))
-    assert mat_vec_mul(params.pk_matrix, s2) != identifier
-    transcripts, ok = run_identification(
-        params, SternSecret(s2), identifier, random.Random(121), random.Random(122), weight=params.t
-    )
-    assert not ok and len(transcripts) < 30
-    assert [t.accepted for t in transcripts] == [True] * (len(transcripts) - 1) + [False]

@@ -34,6 +34,7 @@ from codeibi import (
     TruncatedInput,
     UserCredential,
     UserSecretKey,
+    Verifier,
     VerifierServer,
     VersionMismatch,
     decode,
@@ -632,3 +633,44 @@ def test_usk_decoder_refuses_a_secret_that_does_not_fit_its_credential(system):
         with pytest.raises(MalformedEnvelope):
             decode(encode(UserCredential(bad, mpk)))
     assert decode(encode(system["cred"])) == system["cred"]
+
+
+def test_mpk_decoder_refuses_any_other_syndrome_domain(system):
+    blob = bytearray(encode(system["mpk"]))
+    assert blob[19] == 0x01  # magic, version, kind, length, then m, t, rounds
+    blob[19] = 0x07
+    with pytest.raises(MalformedEnvelope):
+        decode(bytes(blob))
+
+
+def test_usk_decoder_refuses_a_counter_outside_its_range(system):
+    usk, mpk = system["cred"].usk, system["mpk"]
+    top = mpk.hash_spec.counter_max
+    assert top == 1024
+    for j in (0, top + 1, 1029):
+        with pytest.raises(MalformedEnvelope):
+            decode(encode(UserCredential(dataclasses.replace(usk, j=j), mpk)))
+    for j in (1, top):
+        assert decode(encode(UserCredential(dataclasses.replace(usk, j=j), mpk))).usk.j == j
+
+
+def test_transcript_decoder_refuses_a_verdict_that_contradicts_its_rounds(system):
+    mpk, usk, honest = system["mpk"], system["cred"].usk, system["transcript"]
+    assert honest.accepted and len(honest.rounds) == 9
+    first_failed = dataclasses.replace(honest.rounds[0], accepted=False)
+    last_failed = dataclasses.replace(honest.rounds[-1], accepted=False)
+    contradictions = [
+        dataclasses.replace(honest, rounds=(first_failed, *honest.rounds[1:])),
+        dataclasses.replace(honest, accepted=False, rounds=(first_failed, *honest.rounds[1:])),
+        dataclasses.replace(honest, rounds=(*honest.rounds[:-1], last_failed)),
+        dataclasses.replace(honest, rounds=()),
+    ]
+    for bad in contradictions:
+        with pytest.raises(MalformedEnvelope):
+            decode(encode(bad))
+    admission = Verifier(mpk, b"alice", usk.j, mpk.nied_pk.t + 1).transcript()
+    cut_short = dataclasses.replace(honest, accepted=False, rounds=honest.rounds[:4])
+    wrong_key = ibi_identify(usk, mpk, b"eve", random.Random(64), random.Random(65))
+    assert admission.rounds == () and not wrong_key.rounds[-1].accepted
+    for tr in (honest, admission, cut_short, wrong_key):
+        assert decode(encode(tr)) == tr
