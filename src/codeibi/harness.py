@@ -262,10 +262,11 @@ def isd_success_prob(n: int, k: int, t: int) -> float:
 def distinguish_from_random(h_tilde: BitMatrix) -> str:
     """Stub for telling a disguised decodable matrix from a uniform one.
 
-    Deciding whether a parity-check matrix hides an efficiently
-    decodable structure is believed hard at these densities and rates,
-    and this toolkit implements no test for it.  The stub exists so the
-    assumption is visible in the API instead of silently absent.
+    It implements no test.  At CFS rates such a test exists: the
+    high-rate Goppa distinguisher of Faugère, Gauthier-Umaña, Otmani,
+    Perret and Tillich (ITW 2011) separates these public keys from
+    random ones by the dimension of their square code.  The stub marks
+    where a proof's indistinguishability assumption enters the API.
     """
     return "no efficient test implemented"
 
@@ -288,8 +289,11 @@ def estimate_costs(m: int, t: int, rounds_ibi: int, rounds_ibs: int) -> CostEsti
 
     Key sizes count the compact forms: an identifier or a weight-t
     support listing is t*m bits; the expanded public matrix is costed
-    separately.  The attack exponent t*m/2 drops a vanishing term, so
-    it is a lower bound.
+    separately.  The attack exponent t*m/2 prices generic decoding of
+    one syndrome, and drops a vanishing term, so it is a lower bound for
+    that attack only.  Generalized-birthday forgery is not covered:
+    Finiasz and Sendrier (ASIACRYPT 2009) put it below this figure at
+    (16,9).
     """
     n = 1 << m
     k = n - m * t

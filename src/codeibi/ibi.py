@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .binmat import BitVector
-from .errors import CodeIbiError, ParameterError, ProtocolViolation
+from .errors import CodeIbiError, ProtocolViolation
 from .gf2m import FieldParams
 from .mcfs import HashSpec, hash_to_syndrome, mcfs_sign, mcfs_verify
 from .niederreiter import NiedPublicKey, NiedSecretKey, nied_keygen
@@ -62,13 +62,12 @@ class MasterPublicKey:
     hash_spec: HashSpec
     stern_rounds: int
 
-    def stern_params(self, rounds: int | None = None) -> SternParams:
-        return SternParams(
-            self.nied_pk.n,
-            self.nied_pk.t,
-            self.stern_rounds if rounds is None else rounds,
-            self.nied_pk.h_tilde,
-        )
+    def __post_init__(self):
+        self.stern_params()  # SternParams checks k, t and the matrix width
+
+    def stern_params(self) -> SternParams:
+        pk = self.nied_pk
+        return SternParams(pk.n, pk.t, self.stern_rounds, pk.h_tilde)
 
 
 @dataclass(frozen=True)
@@ -105,8 +104,6 @@ class IbiTranscript:
 
 def master_keygen(params: FieldParams, t: int, rounds: int, rng: random.Random):
     """Authority setup; returns (MasterPublicKey, MasterSecretKey)."""
-    if rounds < 1:
-        raise ParameterError("need at least one protocol round")
     pk, sk = nied_keygen(params, t, rng)
     spec = HashSpec(out_bits=pk.n - pk.k)
     return MasterPublicKey(pk, spec, rounds), MasterSecretKey(sk)
@@ -138,10 +135,8 @@ class Prover:
     rounds can run one at a time or, as in a signature, all commits first.
     """
 
-    def __init__(
-        self, usk: UserSecretKey, mpk: MasterPublicKey, rng: random.Random, rounds: int | None = None
-    ):
-        self.params = mpk.stern_params(rounds)
+    def __init__(self, usk: UserSecretKey, mpk: MasterPublicKey, rng: random.Random):
+        self.params = mpk.stern_params()
         self.secret, self.rng = SternSecret(usk.s), rng
         self._open = deque()
 
@@ -171,14 +166,13 @@ class Verifier:
         j: int,
         w: int,
         rng: random.Random | None = None,
-        rounds: int | None = None,
     ):
         self.identity, self.j, self.w, self.rng = identity, j, w, rng
         self.rounds: list[RoundTranscript] = []
         self.admitted = w <= mpk.nied_pk.t and 1 <= j <= mpk.hash_spec.counter_max
         if self.admitted:
             self.identifier = derive_identifier(mpk, identity, j)
-            self.params = mpk.stern_params(rounds)
+            self.params = mpk.stern_params()
         self._pending = None
 
     @property
@@ -219,11 +213,10 @@ def ibi_identify(
     identity: bytes,
     prover_rng: random.Random,
     verifier_rng: random.Random,
-    rounds: int | None = None,
 ) -> IbiTranscript:
     """In-process identification session; mirrors the wire protocol."""
-    verifier = Verifier(mpk, identity, usk.j, usk.w, verifier_rng, rounds)
-    prover = Prover(usk, mpk, prover_rng, rounds)
+    verifier = Verifier(mpk, identity, usk.j, usk.w, verifier_rng)
+    prover = Prover(usk, mpk, prover_rng)
     while not verifier.done:
         ch = verifier.challenge(prover.commit())
         verifier.check(prover.respond(ch))
@@ -280,10 +273,9 @@ def ibs_sign(
     identity: bytes,
     msg: bytes,
     rng: random.Random,
-    rounds: int | None = None,
 ) -> IbsSignature:
     """Sign by committing for every round first, then deriving all challenges."""
-    prover = Prover(usk, mpk, rng, rounds)
+    prover = Prover(usk, mpk, rng)
     coms = tuple(prover.commit() for _ in range(prover.params.rounds))
     blob = b"".join(c.to_bytes() for c in coms)
     chs = tuple(fs_challenges(mpk, identity, usk.j, blob, msg, len(coms)))
@@ -294,14 +286,14 @@ def ibs_sign(
 def ibs_verify(mpk: MasterPublicKey, identity: bytes, msg: bytes, sig: IbsSignature) -> bool:
     """Recompute the challenge stream and check every round.
 
-    A signature needs at least the mpk's round count: a signer who could
+    A signature has exactly the mpk's round count: a signer who could
     pick k would pick k = 1 and win with probability 2/3 without a key.
     """
     try:
-        k = len(sig.commitments)
-        if k < mpk.stern_rounds or len(sig.challenges) != k or len(sig.responses) != k:
+        k = mpk.stern_rounds
+        if not len(sig.commitments) == len(sig.challenges) == len(sig.responses) == k:
             return False
-        verifier = Verifier(mpk, identity, sig.j, sig.w, rounds=k)
+        verifier = Verifier(mpk, identity, sig.j, sig.w)
         if not verifier.admitted:
             return False
         # to_bytes() raises MalformedEnvelope unless each digest is 32 bytes

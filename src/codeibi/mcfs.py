@@ -25,15 +25,12 @@ class HashSpec:
     """Map (message, counter) to an out_bits-long syndrome via SHA-256."""
 
     out_bits: int
-    domain_sep: int = DOMAIN_SYNDROME
 
     MAX_OUT_BITS = 256  # one digest
 
     def __post_init__(self):
         if not 1 <= self.out_bits <= self.MAX_OUT_BITS:
             raise ParameterError(f"out_bits={self.out_bits} outside 1..{self.MAX_OUT_BITS}")
-        if not 0 <= self.domain_sep <= 0xFF:
-            raise ParameterError("domain separator must be one byte")
 
     @property
     def counter_max(self) -> int:
@@ -43,11 +40,11 @@ class HashSpec:
 
 
 def hash_to_syndrome(spec: HashSpec, msg: bytes, i: int) -> BitVector:
-    """First out_bits of SHA-256(sep || len(msg) || msg || i), MSB first."""
+    """First out_bits of SHA-256(DOMAIN_SYNDROME || len(msg) || msg || i), MSB first."""
     if not 1 <= i <= spec.counter_max:
         raise RangeError(f"counter {i} outside 1..{spec.counter_max}")
     h = hashlib.sha256()
-    h.update(bytes([spec.domain_sep]))
+    h.update(bytes([DOMAIN_SYNDROME]))
     h.update(len(msg).to_bytes(8, "big"))
     h.update(msg)
     h.update(i.to_bytes(8, "big"))

@@ -240,7 +240,7 @@ def _parse_hello(payload: bytes) -> tuple:
 def _enc_mpk_body(mpk: MasterPublicKey) -> bytes:
     pk = mpk.nied_pk
     m = (pk.n - 1).bit_length()
-    head = (m, pk.t, mpk.stern_rounds, mpk.hash_spec.domain_sep, DOMAIN_COMMIT)
+    head = (m, pk.t, mpk.stern_rounds, DOMAIN_SYNDROME, DOMAIN_COMMIT)
     return struct.pack(">BHHBB", *head) + _enc_matrix(pk.h_tilde)
 
 
@@ -252,7 +252,7 @@ def _dec_mpk_body(r: _Reader) -> MasterPublicKey:
     _check_code_params(m, t)
     h = _dec_matrix(r)
     n = 1 << m
-    if h.ncols != n or h.nrows != m * t or rounds < 1:
+    if h.ncols != n or h.nrows != m * t:
         raise MalformedEnvelope("public key dimensions are inconsistent")
     pk = NiedPublicKey(h, n, n - m * t, t)
     return MasterPublicKey(pk, HashSpec(m * t), rounds)
@@ -492,12 +492,10 @@ class VerifierServer:
         mpk: MasterPublicKey,
         host: str = "127.0.0.1",
         port: int = 0,
-        rounds: int | None = None,
         seed: int | None = None,
         max_sessions: int | None = None,
     ):
         self.mpk = mpk
-        self.rounds = mpk.stern_params(rounds).rounds  # ParameterError for rounds < 1
         self.rng = _make_rng(seed)
         self.max_sessions = max_sessions
         self.sessions: list[IbiTranscript] = []
@@ -561,7 +559,7 @@ class VerifierServer:
         if hello is None:
             self._send_result(conn, False)
             return None
-        verifier = Verifier(self.mpk, *hello, self.rng, self.rounds)
+        verifier = Verifier(self.mpk, *hello, self.rng)
         while not verifier.done:
             com = _recv_as(conn, MSG_COMMIT, Commitments.from_bytes, cap)
             if com is None:
@@ -575,16 +573,15 @@ class VerifierServer:
         return verifier.transcript()
 
 
-def run_prover(
-    host: str,
-    port: int,
-    cred: UserCredential,
-    identity: bytes,
-    rng: random.Random,
-    rounds: int | None = None,
-) -> bool:
+def _verdict(payload: bytes) -> bool:
+    if payload not in (b"\x00", b"\x01"):
+        raise ProtocolViolation(f"bad session result {payload!r}")
+    return payload == b"\x01"
+
+
+def run_prover(host: str, port: int, cred: UserCredential, identity: bytes, rng: random.Random) -> bool:
     """Drive one identification session as the prover; True iff accepted."""
-    prover = Prover(cred.usk, cred.mpk, rng, rounds)
+    prover = Prover(cred.usk, cred.mpk, rng)
     try:
         sock = socket.create_connection((host, port), timeout=60.0)
     except OSError as e:
@@ -598,14 +595,14 @@ def run_prover(
             _send_msg(sock, MSG_COMMIT, com.to_bytes())
             mtype, payload = _recv_msg(sock, 1)  # a CHALLENGE or an early RESULT
             if mtype == MSG_RESULT:
-                return len(payload) == 1 and payload[0] == 1
+                return _verdict(payload)
             if mtype != MSG_CHALLENGE or len(payload) != 1 or payload[0] > 2:
                 raise ProtocolViolation("expected a ternary challenge")
             _send_msg(sock, MSG_RESPONSE, encode_response_payload(prover.respond(payload[0])))
         mtype, payload = _recv_msg(sock, 1)
-        if mtype != MSG_RESULT or len(payload) != 1 or payload[0] > 1:
+        if mtype != MSG_RESULT:
             raise ProtocolViolation("expected the session result")
-        return payload[0] == 1
+        return _verdict(payload)
 
 
 # ---- CLI ------------------------------------------------------------------
@@ -660,14 +657,7 @@ def _cmd_extract(args) -> int:
 def _cmd_verify_serve(args) -> int:
     mpk = read_envelope(args.mpk, KIND_MPK)
     host, port = _parse_endpoint(args.listen)
-    server = VerifierServer(
-        mpk,
-        host,
-        port,
-        rounds=args.rounds,
-        seed=args.seed,
-        max_sessions=args.max_sessions,
-    )
+    server = VerifierServer(mpk, host, port, seed=args.seed, max_sessions=args.max_sessions)
     print(f"listening={server.host}:{server.port}", flush=True)
     try:
         server.serve_forever()
@@ -699,7 +689,7 @@ def _cmd_ibs_sign(args) -> int:
         raise ParameterError("usk was not issued under this mpk")
     msg = Path(args.msg_file).read_bytes()
     rng = _make_rng(args.seed)
-    sig = ibs_sign(cred.usk, mpk, args.id.encode(), msg, rng, args.rounds)
+    sig = ibs_sign(cred.usk, mpk, args.id.encode(), msg, rng)
     write_envelope(args.out, sig)
     _print_kv([("rounds", len(sig.commitments)), ("bytes", len(encode(sig))), ("sig", args.out)])
     return 0
@@ -803,7 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-serve", help="run the verifier server")
     p.add_argument("--mpk", required=True)
     p.add_argument("--listen", required=True, metavar="HOST:PORT")
-    p.add_argument("--rounds", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--max-sessions", type=int)
     p.add_argument("--transcript-out")
@@ -821,7 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mpk", required=True)
     p.add_argument("--id", required=True)
     p.add_argument("--msg-file", required=True)
-    p.add_argument("--rounds", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ibs_sign)

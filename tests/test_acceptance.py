@@ -231,14 +231,10 @@ def test_09_wire_session_matches_in_process():
     mpk, msk = master_keygen(FieldParams(5), 2, 12, rng)
     usk = extract_user_key(msk, mpk, b"alice", rng)
     cred = UserCredential(usk, mpk)
-    with VerifierServer(mpk, seed=50, rounds=12, max_sessions=1).start() as server:
-        wire_ok = run_prover(
-            "127.0.0.1", server.port, cred, b"alice", random.Random(51), rounds=12
-        )
+    with VerifierServer(mpk, seed=50, max_sessions=1).start() as server:
+        wire_ok = run_prover("127.0.0.1", server.port, cred, b"alice", random.Random(51))
     wire_tr = server.sessions[0]
-    local_tr = ibi_identify(
-        usk, mpk, b"alice", random.Random(51), random.Random(50), rounds=12
-    )
+    local_tr = ibi_identify(usk, mpk, b"alice", random.Random(51), random.Random(50))
     identical = encode(wire_tr) == encode(local_tr)
     same_decision = wire_ok == local_tr.accepted is True
 

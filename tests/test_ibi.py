@@ -1,4 +1,5 @@
 """Identity-keyed identification and the derived signature scheme."""
+import dataclasses
 import random
 
 import pytest
@@ -208,7 +209,7 @@ def test_ibs_rejects_signatures_shorter_than_the_mpk_round_count():
     mpk, msk = authority(rounds=40, seed=34)
     identity, j, w = b"victim", 1, mpk.nied_pk.t
     identifier = derive_identifier(mpk, identity, j)
-    one_round = mpk.stern_params(1)
+    one_round = dataclasses.replace(mpk, stern_rounds=1).stern_params()
     rng = random.Random(35)
     forged = []
     for i in range(30):
@@ -224,9 +225,24 @@ def test_ibs_rejects_signatures_shorter_than_the_mpk_round_count():
     assert passing > 10  # the forgeries are not vacuous: most rounds open correctly
     assert not any(ibs_verify(mpk, identity, msg, sig) for msg, sig in forged)
 
-    # more rounds than the mpk asks for is only stronger, and still verifies
+    # an honest k-round signature verifies, and one of k - 1 honest rounds does not
     usk = extract_user_key(msk, mpk, b"honest", rng)
-    assert ibs_verify(mpk, b"honest", b"m", ibs_sign(usk, mpk, b"honest", b"m", rng, rounds=41))
+    assert ibs_verify(mpk, b"honest", b"m", ibs_sign(usk, mpk, b"honest", b"m", rng))
+    short_mpk = dataclasses.replace(mpk, stern_rounds=39)
+    short = ibs_sign(usk, short_mpk, b"honest", b"m", rng)
+    assert ibs_verify(short_mpk, b"honest", b"m", short)
+    assert not ibs_verify(mpk, b"honest", b"m", short)
+
+
+def test_ibs_rejects_signatures_longer_than_the_mpk_round_count():
+    # the mpk fixes k: an honest signature of k + 1 rounds is not one of k
+    mpk, msk = authority(rounds=20, seed=46)
+    rng = random.Random(47)
+    usk = extract_user_key(msk, mpk, b"honest", rng)
+    long_mpk = dataclasses.replace(mpk, stern_rounds=21)
+    long = ibs_sign(usk, long_mpk, b"honest", b"m", rng)
+    assert ibs_verify(long_mpk, b"honest", b"m", long)
+    assert not ibs_verify(mpk, b"honest", b"m", long)
 
 
 def test_prover_verifier_all_commits_first_matches_one_round_at_a_time():

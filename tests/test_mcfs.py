@@ -29,8 +29,6 @@ def test_hash_spec_validation():
         HashSpec(0)
     with pytest.raises(ParameterError):
         HashSpec(257)
-    with pytest.raises(ParameterError):
-        HashSpec(30, 256)
     # the counter never exceeds what an 8-byte field can carry
     assert HashSpec(250).counter_max == (1 << 64) - 1
 
@@ -48,7 +46,7 @@ def test_hash_deterministic_and_distinct():
 
 def test_hash_bit_order_frozen():
     # independent recomputation: MSB-first walk over the tagged digest
-    spec = HashSpec(19, 0x01)
+    spec = HashSpec(19)
     msg = b"frozen vector"
     i = 77
     digest = hashlib.sha256(

@@ -198,23 +198,20 @@ def test_full_scale_public_key_size():
 
 
 def test_wire_session_matches_in_process(system):
-    mpk, cred = system["mpk"], system["cred"]
-    with VerifierServer(mpk, seed=50, rounds=12, max_sessions=1).start() as server:
-        ok = run_prover(
-            "127.0.0.1", server.port, cred, b"alice", random.Random(51), rounds=12
-        )
+    mpk = dataclasses.replace(system["mpk"], stern_rounds=12)
+    cred = UserCredential(system["cred"].usk, mpk)
+    with VerifierServer(mpk, seed=50, max_sessions=1).start() as server:
+        ok = run_prover("127.0.0.1", server.port, cred, b"alice", random.Random(51))
     assert ok
     assert len(server.sessions) == 1
-    local = ibi_identify(
-        cred.usk, mpk, b"alice", random.Random(51), random.Random(50), rounds=12
-    )
+    local = ibi_identify(cred.usk, mpk, b"alice", random.Random(51), random.Random(50))
     assert encode(server.sessions[0]) == encode(local)
 
 
 def test_wire_rejects_wrong_identity(system):
     mpk, cred = system["mpk"], system["cred"]
-    with VerifierServer(mpk, seed=52, rounds=15, max_sessions=1).start() as server:
-        ok = run_prover("127.0.0.1", server.port, cred, b"eve", random.Random(53), rounds=15)
+    with VerifierServer(mpk, seed=52, max_sessions=1).start() as server:
+        ok = run_prover("127.0.0.1", server.port, cred, b"eve", random.Random(53))
     assert not ok
     assert not server.sessions[0].accepted
 
@@ -261,15 +258,60 @@ def test_peers_that_close_early_record_no_session(system):
     assert server.sessions[0].accepted and server.sessions[0].identity == b"alice"
 
 
-def test_prover_takes_an_early_verdict(system):
-    # a server that runs fewer rounds than the mpk sends its result while
-    # the prover is still committing; the prover returns that verdict
-    mpk, cred = system["mpk"], system["cred"]
-    assert mpk.stern_rounds > 3
-    with VerifierServer(mpk, seed=58, rounds=3, max_sessions=1).start() as server:
-        ok = run_prover("127.0.0.1", server.port, cred, b"alice", random.Random(59))
-    assert ok
-    assert len(server.sessions[0].rounds) == 3 and server.sessions[0].accepted
+def scripted_verifier(rounds: int, early: bool, result: bytes):
+    """A listener that answers each COMMIT with challenge 0 and sends the
+    given RESULT payload after the first COMMIT (early) or the last round."""
+    lsock = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _ = lsock.accept()
+        with conn:
+            conn.settimeout(10)
+            wirecli._recv_msg(conn)  # HELLO
+            for _ in range(rounds):
+                wirecli._recv_msg(conn)  # COMMIT
+                if early:
+                    break
+                wirecli._send_msg(conn, wirecli.MSG_CHALLENGE, b"\x00")
+                wirecli._recv_msg(conn)  # RESPONSE
+            wirecli._send_msg(conn, MSG_RESULT, result)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return lsock, thread
+
+
+def test_prover_reads_a_result_by_one_rule_early_or_last(system):
+    # a RESULT of b"" or b"\x02" used to read as a reject after the first
+    # COMMIT but raise ProtocolViolation after the last round
+    mpk = dataclasses.replace(system["mpk"], stern_rounds=3)
+    cred = UserCredential(system["cred"].usk, mpk)
+    for early in (True, False):
+        for result in (b"", b"\x02", b"\x00", b"\x01"):
+            lsock, thread = scripted_verifier(3, early, result)
+            port = lsock.getsockname()[1]
+            try:
+                if result in (b"\x00", b"\x01"):
+                    ok = run_prover("127.0.0.1", port, cred, b"alice", random.Random(64))
+                    assert ok is (result == b"\x01"), (early, result)
+                else:
+                    with pytest.raises(ProtocolViolation):
+                        run_prover("127.0.0.1", port, cred, b"alice", random.Random(64))
+            finally:
+                thread.join(timeout=10)
+                lsock.close()
+
+
+def test_mpk_refuses_fewer_than_one_round(system):
+    # k >= 1 is an invariant of every MasterPublicKey, decoded or built
+    mpk = system["mpk"]
+    with pytest.raises(ParameterError):
+        MasterPublicKey(mpk.nied_pk, mpk.hash_spec, 0)
+    blob = bytearray(encode(mpk))
+    assert blob[17:19] == mpk.stern_rounds.to_bytes(2, "big")  # after magic, version, kind, length, m, t
+    blob[17:19] = b"\x00\x00"
+    with pytest.raises(MalformedEnvelope):
+        decode(bytes(blob))
 
 
 def test_prover_raises_on_dead_server(system):
@@ -416,18 +458,6 @@ def test_console_script_smoke():
     assert "attack_binops_log2=72.0" in proc.stdout
 
 
-def test_server_refuses_fewer_than_one_round(system, tmp_path):
-    # a server that cannot run one round must not start: every session
-    # would fail, and verify-serve would exit 0 on its empty session list
-    for rounds in (0, -1):
-        with pytest.raises(ParameterError):
-            VerifierServer(system["mpk"], rounds=rounds)
-    mpk_p = tmp_path / "zero.mpk"
-    write_envelope(mpk_p, system["mpk"])
-    assert main(["verify-serve", "--mpk", str(mpk_p), "--listen", "127.0.0.1:0",
-                 "--rounds", "0", "--max-sessions", "0"]) == 2
-
-
 def test_matrix_with_rows_but_no_columns_is_refused():
     # 2^20 rows of width 0 fit in no bytes at all; the parser built them
     # all before the mpk's dimension check could refuse them
@@ -487,10 +517,11 @@ def test_word_arrays_outside_16_bits_are_malformed(system):
 def test_many_round_session_does_not_wait_on_delayed_acks(system):
     # with Nagle on, each COMMIT after a RESPONSE waited for the verifier's
     # delayed ACK, about 40 ms a round: 200 rounds took 8.8 s on loopback
-    mpk, cred = system["mpk"], system["cred"]
-    with VerifierServer(mpk, seed=80, rounds=200, max_sessions=1).start() as server:
+    mpk = dataclasses.replace(system["mpk"], stern_rounds=200)
+    cred = UserCredential(system["cred"].usk, mpk)
+    with VerifierServer(mpk, seed=80, max_sessions=1).start() as server:
         start = time.perf_counter()
-        ok = run_prover("127.0.0.1", server.port, cred, b"alice", random.Random(81), rounds=200)
+        ok = run_prover("127.0.0.1", server.port, cred, b"alice", random.Random(81))
         elapsed = time.perf_counter() - start
     assert ok and len(server.sessions[0].rounds) == 200
     assert elapsed < 2.0
@@ -579,16 +610,16 @@ def test_module_cli_starts_without_a_runtime_warning():
 
 
 def test_wrong_key_wire_session_matches_in_process_and_ends_early(system):
-    mpk, usk = system["mpk"], system["cred"].usk
+    mpk, usk = dataclasses.replace(system["mpk"], stern_rounds=30), system["cred"].usk
     t = mpk.nied_pk.t
     wrong = UserSecretKey(BitVector.random_weight(mpk.nied_pk.n, t, random.Random(60)), usk.j, t)
-    with VerifierServer(mpk, seed=61, rounds=30, max_sessions=1).start() as server:
+    with VerifierServer(mpk, seed=61, max_sessions=1).start() as server:
         ok = run_prover(
-            "127.0.0.1", server.port, UserCredential(wrong, mpk), b"alice", random.Random(62), rounds=30
+            "127.0.0.1", server.port, UserCredential(wrong, mpk), b"alice", random.Random(62)
         )
     assert not ok
     assert len(server.sessions) == 1
-    local = ibi_identify(wrong, mpk, b"alice", random.Random(62), random.Random(61), rounds=30)
+    local = ibi_identify(wrong, mpk, b"alice", random.Random(62), random.Random(61))
     assert encode(server.sessions[0]) == encode(local)
     assert len(local.rounds) < 30 and not local.rounds[-1].accepted
 
