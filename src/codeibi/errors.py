@@ -38,7 +38,16 @@ class Inconsistent(CodeIbiError):
 
 
 class Undecodable(CodeIbiError):
-    """Syndrome is not within the decoding radius of the code."""
+    """Syndrome is not within the decoding radius of the code.
+
+    reason names the decoder's exit: "does not split" when the error
+    locator has fewer distinct roots than its degree, "syndrome mismatch"
+    when the errors it locates give another syndrome.
+    """
+
+    def __init__(self, message: str, reason: str | None = None):
+        super().__init__(message)
+        self.reason = reason
 
 
 class WeightError(CodeIbiError):

@@ -1,12 +1,16 @@
 """Arithmetic in GF(2^m) and in the polynomial ring GF(2^m)[z].
 
 Field elements are plain ints holding m-bit polynomial-basis encodings
-(bit i = coefficient of z^i).  Every field gets log/antilog tables, so
-a product or an inverse is a few list lookups.
+(bit i = coefficient of z^i).  Every field gets log/antilog tables in
+16-bit arrays, so a product, an inverse or a square root is two or three
+table lookups.  Bit-sliced arithmetic works on all n = 2^m points at
+once, one n-bit int per bit of the value; the root search and the Goppa
+parity-check assembly use it.
 """
 from __future__ import annotations
 
 import random
+from array import array
 
 from .errors import NotInvertible, ParameterError, RangeError, ZeroInverse, ZeroOperand
 
@@ -22,12 +26,17 @@ __all__ = [
     "poly_add",
     "poly_divmod",
     "poly_eval",
+    "poly_eval_all",
     "poly_ext_gcd",
     "poly_inv_mod",
     "poly_mod",
     "poly_mul",
+    "poly_roots",
     "poly_sqrt_mod",
+    "poly_sqrt_split",
     "random_irreducible",
+    "sliced_inv",
+    "sliced_mul",
 ]
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
@@ -66,7 +75,7 @@ def least_irreducible(m: int) -> int:
 
 
 def _log_tables(m: int, modulus: int):
-    """(exp, log) tables for GF(2^m): exp[i] = gen^i and log[gen^i] = i.
+    """(exp, log) arrays for GF(2^m): exp[i] = gen^i and log[gen^i] = i.
 
     gen is the first of 1, 2, 3, ... whose powers cover all 2^m - 1
     nonzero elements.  Products and inverses do not depend on which
@@ -85,13 +94,12 @@ def _log_tables(m: int, modulus: int):
                 a ^= modulus
         return r
 
-    ints = list(range(1 << m))  # one int object per value, shared by both tables
-    exp = [0] * order
-    log = [0] * (1 << m)
+    exp = array("H", bytes(2 * order))
+    log = array("H", bytes(2 << m))
     for gen in range(1, 1 << m):
         x = 1
-        for i in ints[:order]:
-            exp[i] = ints[x]
+        for i in range(order):
+            exp[i] = x
             log[x] = i
             x = raw_mul(x, gen)
             if x == 1:
@@ -100,10 +108,31 @@ def _log_tables(m: int, modulus: int):
             return exp, log
 
 
-class FieldParams:
-    """GF(2^m) description: extension degree, reduction modulus, mul tables."""
+def _point_planes(m: int) -> list[int]:
+    """The 2^m field elements, bit-sliced: bit i of plane b is bit b of i.
 
-    __slots__ = ("m", "modulus", "order", "exp", "log")
+    Plane b repeats 2^b zeros and then 2^b ones, so it is built by
+    doubling one such block with shifts.
+    """
+    n = 1 << m
+    planes = []
+    for b in range(m):
+        block, width = ((1 << (1 << b)) - 1) << (1 << b), 2 << b
+        while width < n:
+            block |= block << width
+            width <<= 1
+        planes.append(block)
+    return planes
+
+
+class FieldParams:
+    """GF(2^m) description: extension degree, reduction modulus, mul tables.
+
+    points holds the 2^m elements, each at its own position, bit-sliced
+    (see sliced_mul).
+    """
+
+    __slots__ = ("m", "modulus", "order", "exp", "log", "points")
 
     def __init__(self, m: int, modulus: int | None = None):
         if not 1 <= m <= 16:
@@ -116,6 +145,7 @@ class FieldParams:
         self.modulus = modulus
         self.order = (1 << m) - 1
         self.exp, self.log = _log_tables(m, modulus)
+        self.points = _point_planes(m)
 
     def __repr__(self):
         return f"FieldParams(m={self.m}, modulus={self.modulus:#x})"
@@ -255,6 +285,68 @@ def poly_eval(f: Gf2mPoly, x: int, p: FieldParams) -> int:
     return acc
 
 
+def sliced_mul(a: list[int], b: list[int], p: FieldParams) -> list[int]:
+    """Product, point by point, of two bit-sliced vectors of field elements.
+
+    Plane k of a bit-sliced vector is an n-bit int whose bit i is bit k of
+    the element at position i.  The product takes m^2 ANDs and XORs of
+    n-bit ints, then folds planes m .. 2m-2 down by the modulus taps.
+    """
+    m = p.m
+    prod = [0] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] ^= ai & bj
+    taps = [j for j in range(m) if p.modulus >> j & 1]
+    for k in range(2 * m - 2, m - 1, -1):
+        v = prod[k]
+        for j in taps:
+            prod[k - m + j] ^= v
+    return prod[:m]
+
+
+def sliced_inv(a: list[int], p: FieldParams) -> list[int]:
+    """Inverse at every position of a bit-sliced vector (0 stays 0): a^(2^m - 2)."""
+    r = a
+    for _ in range(p.m - 2):
+        r = sliced_mul(sliced_mul(r, r, p), a, p)  # a^(2^(k+1) - 1) from a^(2^k - 1)
+    return sliced_mul(r, r, p)
+
+
+def poly_eval_all(f: Gf2mPoly, p: FieldParams) -> list[int]:
+    """f at all 2^m points at once, bit-sliced: bit i of plane k is bit k of f(i).
+
+    One Horner step multiplies the running planes by p.points and adds the
+    next coefficient to every point.
+    """
+    ones = (1 << (1 << p.m)) - 1
+    acc = [0] * p.m
+    for c in reversed(f.coeffs):
+        acc = sliced_mul(acc, p.points, p)
+        acc = [v ^ ones if c >> k & 1 else v for k, v in enumerate(acc)]
+    return acc
+
+
+def poly_roots(f: Gf2mPoly, p: FieldParams) -> list[int]:
+    """The field elements x with f(x) = 0, ascending.
+
+    They are the zero bits of the OR of f's bit-sliced values.
+    """
+    if f.is_zero():
+        raise ZeroOperand("the zero polynomial vanishes everywhere")
+    nonzero = 0
+    for v in poly_eval_all(f, p):
+        nonzero |= v
+    zeros = ((1 << (1 << p.m)) - 1) ^ nonzero
+    roots = []
+    while zeros:
+        low = zeros & -zeros
+        roots.append(low.bit_length() - 1)
+        zeros ^= low
+    return roots
+
+
 def poly_ext_gcd(a: Gf2mPoly, b: Gf2mPoly, stop_deg, p: FieldParams):
     """Extended Euclid on (a, b), halted early.
 
@@ -304,6 +396,20 @@ def poly_sqrt_mod(f: Gf2mPoly, g: Gf2mPoly, p: FieldParams) -> Gf2mPoly:
     if t is NEG_INF or t < 1:
         raise ZeroOperand("modulus must have positive degree")
     return _poly_sqr_pow(poly_mod(f, g, p), p.m * int(t) - 1, g, p)
+
+
+def poly_sqrt_split(f: Gf2mPoly, sqrt_z: Gf2mPoly, g: Gf2mPoly, p: FieldParams) -> Gf2mPoly:
+    """Square root of f in GF(2^m)[z]/(g), given sqrt_z, the root of z mod g.
+
+    Split f = A(z)^2 + z*B(z)^2, A from the field square roots of f's even
+    coefficients and B from its odd ones; then the root is A + sqrt_z*B
+    mod g.  One product and one reduction replace poly_sqrt_mod's m*t - 1
+    squarings.  A field square root is c^(2^(m-1)), a log-table lookup.
+    """
+    half = 1 << (p.m - 1)
+    roots = [p.exp[p.log[c] * half % p.order] if c else 0 for c in f.coeffs]
+    a, b = Gf2mPoly(roots[0::2]), Gf2mPoly(roots[1::2])
+    return poly_mod(poly_add(a, poly_mul(sqrt_z, b, p)), g, p)
 
 
 def is_irreducible(f: Gf2mPoly, p: FieldParams) -> bool:

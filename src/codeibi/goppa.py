@@ -16,16 +16,19 @@ from .gf2m import (
     POLY_Z,
     FieldParams,
     Gf2mPoly,
-    field_inv,
     field_mul,
     is_irreducible,
     poly_add,
+    poly_eval_all,
     poly_ext_gcd,
-    poly_eval,
     poly_inv_mod,
     poly_mul,
+    poly_roots,
     poly_sqrt_mod,
+    poly_sqrt_split,
     random_irreducible,
+    sliced_inv,
+    sliced_mul,
 )
 
 __all__ = [
@@ -42,7 +45,7 @@ __all__ = [
 class GoppaCode:
     """[n, k] binary Goppa code determined by (field, t, g)."""
 
-    __slots__ = ("params", "t", "support", "g", "H_bin", "n", "k")
+    __slots__ = ("params", "t", "support", "g", "H_bin", "n", "k", "_sqrt_z")
 
     def __init__(self, params: FieldParams, t: int, g: Gf2mPoly, H_bin: BitMatrix):
         self.params = params
@@ -52,6 +55,14 @@ class GoppaCode:
         self.support = range(self.n)
         self.g = g
         self.H_bin = H_bin
+        self._sqrt_z = None
+
+    @property
+    def sqrt_z(self) -> Gf2mPoly:
+        """sqrt(z) mod g, made on first use; every decode takes its square root from it."""
+        if self._sqrt_z is None:
+            self._sqrt_z = poly_sqrt_mod(POLY_Z, self.g, self.params)
+        return self._sqrt_z
 
     def __repr__(self):
         return f"GoppaCode(m={self.params.m}, t={self.t}, n={self.n}, k={self.k})"
@@ -67,27 +78,18 @@ def _check_code_params(m: int, t: int) -> None:
         raise ParameterError(f"m*t={m * t} leaves no code dimension")
 
 
-_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
-
-
 def _assemble_parity(params: FieldParams, t: int, g: Gf2mPoly) -> BitMatrix:
     """GF(2) expansion of the t x n matrix with entries L_i^r / g(L_i).
 
-    The n entries of each power r are computed once; each of their m bit
-    planes becomes one row, parsed from a 0/1 byte string.  Setting the
-    bits one at a time would rewrite an n-bit int for every set bit.
+    The entries of each power r are computed bit-sliced, all n at once, so
+    each of their m bit planes is one row as it stands.
     """
-    m = params.m
-    n = 1 << m
-    entries = [field_inv(poly_eval(g, i, params), params) for i in range(n)]
-    rows = []
-    for r in range(t):
-        if r:
-            entries = [field_mul(e, i, params) for i, e in enumerate(entries)]
-        high_first = entries[::-1]
-        for b in range(m):
-            rows.append(int(bytes([e >> b & 1 for e in high_first]).translate(_BIT_CHARS), 2))
-    return BitMatrix(m * t, n, rows)
+    entries = sliced_inv(poly_eval_all(g, params), params)
+    rows = list(entries)
+    for _ in range(1, t):
+        entries = sliced_mul(entries, params.points, params)
+        rows += entries
+    return BitMatrix(params.m * t, 1 << params.m, rows)
 
 
 def code_from_poly(params: FieldParams, t: int, g: Gf2mPoly) -> GoppaCode:
@@ -184,16 +186,19 @@ def patterson_decode(code: GoppaCode, s: BitVector) -> BitVector:
     # is a bijection mod the irreducible g and T + z is reduced (t >= 2).  The
     # locator is never 0: a^2 has even degree, z*b^2 odd, and ext-gcd never
     # gives a = b = 0 (entry 0 has a = g, every later entry b != 0).
+    # R = sqrt(T + z) is one product with the code's sqrt(z), not m*t - 1
+    # squarings; the locator's roots come from one bit-sliced evaluation
+    # at all 2^m support points.
     S = syndrome_poly(code, s)
     T = poly_inv_mod(S, g, params)
-    R = poly_sqrt_mod(poly_add(T, POLY_Z), g, params)
+    R = poly_sqrt_split(poly_add(T, POLY_Z), code.sqrt_z, g, params)
     a, _, b = poly_ext_gcd(g, R, t // 2, params)
     sigma = poly_add(poly_mul(a, a, params), Gf2mPoly((0,) + poly_mul(b, b, params).coeffs))
 
-    roots = [i for i in code.support if poly_eval(sigma, i, params) == 0]
+    roots = poly_roots(sigma, params)
     if len(roots) != sigma.degree:
-        raise Undecodable("locator does not split over the support")
+        raise Undecodable("locator does not split over the support", "does not split")
     e = BitVector.from_support(code.n, roots)
     if binary_syndrome(code, e) != s:
-        raise Undecodable("recomputed syndrome mismatch")
+        raise Undecodable("recomputed syndrome mismatch", "syndrome mismatch")
     return e

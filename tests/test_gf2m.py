@@ -17,12 +17,17 @@ from codeibi import (
     poly_add,
     poly_divmod,
     poly_eval,
+    poly_eval_all,
     poly_ext_gcd,
     poly_inv_mod,
     poly_mod,
     poly_mul,
+    poly_roots,
     poly_sqrt_mod,
+    poly_sqrt_split,
     random_irreducible,
+    sliced_inv,
+    sliced_mul,
 )
 
 
@@ -263,6 +268,69 @@ def test_poly_sqrt_mod():
             f = poly_mod(f, g, p)
             sq = poly_mod(poly_mul(f, f, p), g, p)
             assert poly_sqrt_mod(sq, g, p) == f
+
+
+def test_poly_sqrt_split_matches_repeated_squaring():
+    rng = random.Random(41)
+    z = Gf2mPoly((0, 1))
+    for m, t in ((10, 3), (12, 5), (16, 9)):
+        p = FieldParams(m)
+        g = random_irreducible(t, p, rng)
+        sqrt_z = poly_sqrt_mod(z, g, p)
+        for _ in range(8):
+            tz = poly_add(Gf2mPoly(tuple(rng.randrange(1 << m) for _ in range(t))), z)
+            root = poly_sqrt_split(tz, sqrt_z, g, p)
+            assert root == poly_sqrt_mod(tz, g, p)
+            assert poly_mod(poly_mul(root, root, p), g, p) == tz
+
+
+def _split_poly(roots, scale, p):
+    f = Gf2mPoly((scale,))
+    for r in roots:
+        f = poly_mul(f, Gf2mPoly((r, 1)), p)
+    return f
+
+
+def test_poly_roots_match_exhaustive_scan():
+    rng = random.Random(43)
+    for m in range(3, 17):
+        p = FieldParams(m)
+        size = 1 << m
+        polys = [
+            Gf2mPoly((rng.randrange(1, size),)),  # nonzero constant: no roots
+            Gf2mPoly((rng.randrange(size), rng.randrange(1, size))),  # degree 1
+            _split_poly([0] + rng.sample(range(1, size), 2), rng.randrange(1, size), p),
+            _split_poly(rng.sample(range(size), min(m, 9)), rng.randrange(1, size), p),
+        ]
+        for _ in range(3 if m < 13 else 1):
+            d = rng.randrange(2, 10)
+            polys.append(Gf2mPoly([rng.randrange(size) for _ in range(d)] + [rng.randrange(1, size)]))
+        for f in polys:
+            assert poly_roots(f, p) == [x for x in range(size) if poly_eval(f, x, p) == 0]
+        assert poly_roots(polys[0], p) == []
+        assert len(poly_roots(polys[3], p)) == polys[3].degree
+        with pytest.raises(ZeroOperand):
+            poly_roots(Gf2mPoly(()), p)
+
+
+def _unslice(planes, n):
+    return [sum((v >> i & 1) << k for k, v in enumerate(planes)) for i in range(n)]
+
+
+def test_sliced_arithmetic_matches_per_point():
+    rng = random.Random(47)
+    for m in (1, 2, 3, 8, 13):
+        p = FieldParams(m)
+        n = 1 << m
+        f = Gf2mPoly([rng.randrange(n) for _ in range(6)])
+        values = [poly_eval(f, x, p) for x in range(n)]
+        planes = poly_eval_all(f, p)
+        assert _unslice(planes, n) == values
+        assert _unslice(p.points, n) == list(range(n))
+        inv = [field_inv(v, p) if v else 0 for v in values]
+        assert _unslice(sliced_inv(planes, p), n) == inv
+        prod = [field_mul(v, x, p) for x, v in enumerate(values)]
+        assert _unslice(sliced_mul(planes, p.points, p), n) == prod
 
 
 def test_is_irreducible_against_trial_division():

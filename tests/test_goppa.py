@@ -15,6 +15,7 @@ from codeibi import (
     Gf2mPoly,
     ParameterError,
     Undecodable,
+    GoppaCode,
     binary_syndrome,
     build_goppa,
     code_from_poly,
@@ -24,6 +25,8 @@ from codeibi import (
     patterson_decode,
     poly_eval,
     poly_inv_mod,
+    poly_mod,
+    poly_mul,
     random_irreducible,
     syndrome_bits,
     syndrome_poly,
@@ -163,6 +166,36 @@ def test_decode_rejects_out_of_ball():
         assert got.weight() <= code.t
         assert binary_syndrome(code, got) == s
     assert rejected > 0
+
+
+def test_undecodable_reason_names_each_exit():
+    code = make_code(4, 2, 20)
+    reasons = set()
+    for bits in range(1 << 8):
+        try:
+            patterson_decode(code, BitVector(8, bits))
+        except Undecodable as exc:
+            assert exc.reason in str(exc)
+            reasons.add(exc.reason)
+    # every locator that splits locates a true error pattern (S*sigma = sigma'
+    # mod g), so only a parity matrix foreign to g reaches the re-check
+    assert reasons == {"does not split"}
+    other = make_code(4, 2, 21)
+    assert other.g != code.g
+    e = BitVector.random_weight(code.n, 2, random.Random(22))
+    with pytest.raises(Undecodable) as info:
+        patterson_decode(GoppaCode(code.params, code.t, code.g, other.H_bin), binary_syndrome(code, e))
+    assert info.value.reason == "syndrome mismatch"
+    assert "syndrome mismatch" in str(info.value)
+
+
+def test_directly_built_code_decodes_with_its_own_sqrt_z():
+    code = make_code(8, 3, 23)
+    bare = GoppaCode(code.params, code.t, code.g, code.H_bin)
+    e = BitVector.random_weight(code.n, 3, random.Random(24))
+    assert patterson_decode(bare, binary_syndrome(code, e)) == e
+    root = bare.sqrt_z
+    assert poly_mod(poly_mul(root, root, code.params), code.g, code.params) == Gf2mPoly((0, 1))
 
 
 def test_decode_dimension_check():
