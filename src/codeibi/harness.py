@@ -21,16 +21,7 @@ from .binmat import BitMatrix, BitVector, gaussian_solve, mat_invert, mat_vec_mu
 from .errors import CostGuard, DimensionMismatch, RetryLimitExceeded, Singular
 from .gf2m import FieldParams
 from .ibi import UserSecretKey, Verifier, derive_identifier, extract_user_key, ibi_identify, master_keygen
-from .stern import (
-    ProverRoundState,
-    SternParams,
-    SternSecret,
-    _commit,
-    encode_perm,
-    stern_commit,
-    stern_respond,
-    verify_round,
-)
+from .stern import ProverRoundState, _commit, encode_perm, stern_commit, stern_respond, verify_round
 
 __all__ = [
     "CheatState",
@@ -67,36 +58,36 @@ class CheatState:
 
 
 def _random_wrong_syndrome_vec(
-    params: SternParams, identifier: BitVector, w: int, rng: random.Random
+    h: BitMatrix, identifier: BitVector, w: int, rng: random.Random
 ) -> BitVector:
     for _ in range(1000):
-        s = BitVector.random_weight(params.n, w, rng)
-        if mat_vec_mul(params.pk_matrix, s) != identifier:
+        s = BitVector.random_weight(h.ncols, w, rng)
+        if mat_vec_mul(h, s) != identifier:
             return s
     raise RetryLimitExceeded("every weight-w draw hit the identifier syndrome")
 
 
 def cheat_commit(
     strategy: CheatStrategy,
-    params: SternParams,
+    h: BitMatrix,
     identifier: BitVector,
     w: int,
     rng: random.Random,
 ):
-    """Keyless round commitments for the given strategy.
+    """Keyless round commitments for the given strategy, against public matrix h.
 
     Returns (CheatState, Commitments).  The SOLVE_SYNDROME strategy is
     only a two-of-three cheat when its solved vector does not have the
     claimed weight w; callers that need exact rates should check that.
     """
     if strategy is CheatStrategy.SOLVE_SYNDROME:
-        s_fake = gaussian_solve(params.pk_matrix, identifier)
+        s_fake = gaussian_solve(h, identifier)
     else:
-        s_fake = _random_wrong_syndrome_vec(params, identifier, w, rng)
-    state, com = stern_commit(params, SternSecret(s_fake), rng)
+        s_fake = _random_wrong_syndrome_vec(h, identifier, w, rng)
+    state, com = stern_commit(h, s_fake, rng)
     if strategy is CheatStrategy.FORGE_C1:
         # commit to the syndrome the b=1 opening will exhibit
-        syn = state.syn_y ^ mat_vec_mul(params.pk_matrix, s_fake) ^ identifier
+        syn = state.syn_y ^ mat_vec_mul(h, s_fake) ^ identifier
         c1 = _commit(encode_perm(state.sigma), syn.to_bytes())
         com = dataclasses.replace(com, c1=c1)
     return CheatState(strategy, state, s_fake), com
@@ -104,22 +95,22 @@ def cheat_commit(
 
 def cheat_respond(state: CheatState, ch: int):
     """Answer with the fake secret; the commitment checks decide the round."""
-    return stern_respond(state.round_state, SternSecret(state.s_fake), ch)
+    return stern_respond(state.round_state, state.s_fake, ch)
 
 
 def strategy_acceptance_set(
     strategy: CheatStrategy,
-    params: SternParams,
+    h: BitMatrix,
     identifier: BitVector,
     w: int,
     rng: random.Random,
 ) -> set:
     """Challenges a single cheat commitment survives, tried exhaustively."""
-    state, com = cheat_commit(strategy, params, identifier, w, rng)
+    state, com = cheat_commit(strategy, h, identifier, w, rng)
     accepted = set()
     for ch in (0, 1, 2):
-        resp = stern_respond(copy.copy(state.round_state), SternSecret(state.s_fake), ch)
-        if verify_round(params, identifier, com, ch, resp, weight=w):
+        resp = stern_respond(copy.copy(state.round_state), state.s_fake, ch)
+        if verify_round(h, identifier, com, ch, resp, w):
             accepted.add(ch)
     return accepted
 
@@ -151,7 +142,7 @@ def impersonation_game(cfg: GameConfig) -> GameResult:
     rng = random.Random(cfg.seed)
     fp = FieldParams(cfg.m)
     mpk, msk = master_keygen(fp, cfg.t, cfg.rounds, rng)
-    params = mpk.stern_params()
+    h = mpk.nied_pk.h_tilde
     identity = b"imp-pa:target"
     successes = 0
 
@@ -160,14 +151,14 @@ def impersonation_game(cfg: GameConfig) -> GameResult:
         # skip identifiers whose pivot solution happens to weigh exactly t
         j = 1
         identifier = derive_identifier(mpk, identity, j)
-        while gaussian_solve(params.pk_matrix, identifier).weight() == cfg.t:
+        while gaussian_solve(h, identifier).weight() == cfg.t:
             j += 1
             identifier = derive_identifier(mpk, identity, j)
         strategies = tuple(CheatStrategy)
         for _ in range(cfg.trials):
             verifier = Verifier(mpk, identity, j, cfg.t, rng)
             while not verifier.done:
-                state, com = cheat_commit(rng.choice(strategies), params, identifier, cfg.t, rng)
+                state, com = cheat_commit(rng.choice(strategies), h, identifier, cfg.t, rng)
                 verifier.check(cheat_respond(state, verifier.challenge(com)))
             successes += verifier.accepted
         bound = (2.0 / 3.0) ** cfg.rounds
@@ -177,7 +168,7 @@ def impersonation_game(cfg: GameConfig) -> GameResult:
             bound = 1.0
         else:
             identifier = derive_identifier(mpk, identity, 1)
-            usk = UserSecretKey(_random_wrong_syndrome_vec(params, identifier, cfg.t, rng), 1, cfg.t)
+            usk = UserSecretKey(_random_wrong_syndrome_vec(h, identifier, cfg.t, rng), 1, cfg.t)
             bound = (2.0 / 3.0) ** cfg.rounds
         for _ in range(cfg.trials):
             successes += ibi_identify(usk, mpk, identity, rng, rng).accepted

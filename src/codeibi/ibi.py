@@ -17,16 +17,14 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .binmat import BitVector
-from .errors import CodeIbiError, ProtocolViolation
+from .errors import CodeIbiError, ParameterError, ProtocolViolation
 from .gf2m import FieldParams
-from .mcfs import HashSpec, hash_to_syndrome, mcfs_sign, mcfs_verify
+from .mcfs import counter_max, hash_to_syndrome, mcfs_sign, mcfs_verify
 from .niederreiter import NiedPublicKey, NiedSecretKey, nied_keygen
 from .stern import (
     Commitments,
     Response,
     RoundTranscript,
-    SternParams,
-    SternSecret,
     draw_challenge,
     stern_commit,
     stern_respond,
@@ -58,16 +56,22 @@ DOMAIN_FS = 0x03  # domain separator for derived challenge streams
 
 @dataclass(frozen=True)
 class MasterPublicKey:
+    """The public matrix h~ and its weight bound t, and the round count k.
+
+    Every other size is read from these: the length n and the syndrome
+    width r are h~'s shape, and r fixes the counter range.
+    """
+
     nied_pk: NiedPublicKey
-    hash_spec: HashSpec
     stern_rounds: int
 
     def __post_init__(self):
-        self.stern_params()  # SternParams checks k, t and the matrix width
-
-    def stern_params(self) -> SternParams:
         pk = self.nied_pk
-        return SternParams(pk.n, pk.t, self.stern_rounds, pk.h_tilde)
+        if self.stern_rounds < 1:
+            raise ParameterError("need at least one round")
+        if not 1 <= pk.t <= pk.n:
+            raise ParameterError(f"weight bound t={pk.t} outside 1..{pk.n}")
+        counter_max(pk.h_tilde.nrows)  # refuses a syndrome wider than one digest
 
 
 @dataclass(frozen=True)
@@ -105,13 +109,12 @@ class IbiTranscript:
 def master_keygen(params: FieldParams, t: int, rounds: int, rng: random.Random):
     """Authority setup; returns (MasterPublicKey, MasterSecretKey)."""
     pk, sk = nied_keygen(params, t, rng)
-    spec = HashSpec(out_bits=pk.n - pk.k)
-    return MasterPublicKey(pk, spec, rounds), MasterSecretKey(sk)
+    return MasterPublicKey(pk, rounds), MasterSecretKey(sk)
 
 
 def derive_identifier(mpk: MasterPublicKey, identity: bytes, j: int) -> BitVector:
     """Public syndrome a prover must answer for: hash(identity, j)."""
-    return hash_to_syndrome(mpk.hash_spec, identity, j)
+    return hash_to_syndrome(mpk.nied_pk.h_tilde.nrows, identity, j)
 
 
 def extract_user_key(
@@ -122,8 +125,8 @@ def extract_user_key(
     retry_cap: int | None = None,
 ) -> UserSecretKey:
     """Authority-side key issuance: sign the identity string."""
-    sig = mcfs_sign(msk.nied_sk, mpk.hash_spec, identity, rng, retry_cap)
-    if not mcfs_verify(mpk.nied_pk, mpk.hash_spec, identity, sig):
+    sig = mcfs_sign(msk.nied_sk, identity, rng, retry_cap)
+    if not mcfs_verify(mpk.nied_pk, identity, sig):
         raise CodeIbiError("extracted key fails its own identity equation")
     return UserSecretKey(sig.x, sig.i, sig.x.weight(), sig.attempts)
 
@@ -136,17 +139,16 @@ class Prover:
     """
 
     def __init__(self, usk: UserSecretKey, mpk: MasterPublicKey, rng: random.Random):
-        self.params = mpk.stern_params()
-        self.secret, self.rng = SternSecret(usk.s), rng
+        self.h, self.s, self.rng = mpk.nied_pk.h_tilde, usk.s, rng
         self._open = deque()
 
     def commit(self) -> Commitments:
-        state, com = stern_commit(self.params, self.secret, self.rng)
+        state, com = stern_commit(self.h, self.s, self.rng)
         self._open.append(state)
         return com
 
     def respond(self, ch: int) -> Response:
-        return stern_respond(self._open.popleft(), self.secret, ch)
+        return stern_respond(self._open.popleft(), self.s, ch)
 
 
 class Verifier:
@@ -167,12 +169,11 @@ class Verifier:
         w: int,
         rng: random.Random | None = None,
     ):
-        self.identity, self.j, self.w, self.rng = identity, j, w, rng
+        self.mpk, self.identity, self.j, self.w, self.rng = mpk, identity, j, w, rng
         self.rounds: list[RoundTranscript] = []
-        self.admitted = w <= mpk.nied_pk.t and 1 <= j <= mpk.hash_spec.counter_max
+        self.admitted = w <= mpk.nied_pk.t and 1 <= j <= counter_max(mpk.nied_pk.h_tilde.nrows)
         if self.admitted:
             self.identifier = derive_identifier(mpk, identity, j)
-            self.params = mpk.stern_params()
         self._pending = None
 
     @property
@@ -181,7 +182,7 @@ class Verifier:
         return (
             not self.admitted
             or bool(self.rounds) and not self.rounds[-1].accepted
-            or len(self.rounds) == self.params.rounds
+            or len(self.rounds) == self.mpk.stern_rounds
         )
 
     @property
@@ -199,7 +200,7 @@ class Verifier:
     def record(self, com: Commitments, ch: int, resp: Response) -> bool:
         if self.done:
             raise ProtocolViolation("session takes no further rounds")
-        ok = verify_round(self.params, self.identifier, com, ch, resp, weight=self.w)
+        ok = verify_round(self.mpk.nied_pk.h_tilde, self.identifier, com, ch, resp, self.w)
         self.rounds.append(RoundTranscript(com, ch, resp, ok))
         return ok
 
@@ -276,7 +277,7 @@ def ibs_sign(
 ) -> IbsSignature:
     """Sign by committing for every round first, then deriving all challenges."""
     prover = Prover(usk, mpk, rng)
-    coms = tuple(prover.commit() for _ in range(prover.params.rounds))
+    coms = tuple(prover.commit() for _ in range(mpk.stern_rounds))
     blob = b"".join(c.to_bytes() for c in coms)
     chs = tuple(fs_challenges(mpk, identity, usk.j, blob, msg, len(coms)))
     resps = tuple(prover.respond(ch) for ch in chs)

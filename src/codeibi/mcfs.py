@@ -2,7 +2,8 @@
 
 A message is signed by hashing it together with a fresh random counter
 until the digest lands on a decodable syndrome; roughly one counter in
-t! works, so the retry loop is short for small t.
+t! works, so the retry loop is short for small t.  The syndrome width
+is the key's r = n - k rows, read from whichever key the call is given.
 """
 from __future__ import annotations
 
@@ -12,48 +13,42 @@ import random
 from dataclasses import dataclass, field
 
 from .binmat import BitVector, mat_vec_mul
-from .errors import DimensionMismatch, ParameterError, RangeError, RetryLimitExceeded, Undecodable
+from .errors import ParameterError, RangeError, RetryLimitExceeded, Undecodable
 from .niederreiter import NiedPublicKey, NiedSecretKey, nied_decrypt
 
-__all__ = ["HashSpec", "McfsSignature", "hash_to_syndrome", "mcfs_sign", "mcfs_verify"]
+__all__ = [
+    "MAX_SYNDROME_BITS",
+    "McfsSignature",
+    "counter_max",
+    "hash_to_syndrome",
+    "mcfs_sign",
+    "mcfs_verify",
+]
 
 DOMAIN_SYNDROME = 0x01  # domain separator for message-to-syndrome hashing
+MAX_SYNDROME_BITS = 256  # one SHA-256 digest
 
 
-@dataclass(frozen=True)
-class HashSpec:
-    """Map (message, counter) to an out_bits-long syndrome via SHA-256."""
-
-    out_bits: int
-
-    MAX_OUT_BITS = 256  # one digest
-
-    def __post_init__(self):
-        if not 1 <= self.out_bits <= self.MAX_OUT_BITS:
-            raise ParameterError(f"out_bits={self.out_bits} outside 1..{self.MAX_OUT_BITS}")
-
-    @property
-    def counter_max(self) -> int:
-        # the counter is hashed as a fixed 8-byte integer, so its range is
-        # additionally capped at what that encoding can hold
-        return min(1 << self.out_bits, (1 << 64) - 1)
+def counter_max(bits: int) -> int:
+    """Largest counter for a bits-wide syndrome: 2^bits, capped at what 8 bytes hold."""
+    if not 1 <= bits <= MAX_SYNDROME_BITS:
+        raise ParameterError(f"syndrome width {bits} outside 1..{MAX_SYNDROME_BITS}")
+    return min(1 << bits, (1 << 64) - 1)
 
 
-def hash_to_syndrome(spec: HashSpec, msg: bytes, i: int) -> BitVector:
-    """First out_bits of SHA-256(DOMAIN_SYNDROME || len(msg) || msg || i), MSB first."""
-    if not 1 <= i <= spec.counter_max:
-        raise RangeError(f"counter {i} outside 1..{spec.counter_max}")
+def hash_to_syndrome(bits: int, msg: bytes, i: int) -> BitVector:
+    """First bits of SHA-256(DOMAIN_SYNDROME || len(msg) || msg || i), MSB first."""
+    top = counter_max(bits)
+    if not 1 <= i <= top:
+        raise RangeError(f"counter {i} outside 1..{top}")
     h = hashlib.sha256()
     h.update(bytes([DOMAIN_SYNDROME]))
     h.update(len(msg).to_bytes(8, "big"))
     h.update(msg)
     h.update(i.to_bytes(8, "big"))
-    digest = h.digest()
-    bits = 0
-    for j in range(spec.out_bits):
-        if (digest[j >> 3] >> (7 - (j & 7))) & 1:
-            bits |= 1 << j
-    return BitVector(spec.out_bits, bits)
+    # digest bit j (MSB first) becomes vector bit j: take the prefix, reverse it
+    prefix = format(int.from_bytes(h.digest(), "big"), "0256b")[:bits]
+    return BitVector(bits, int(prefix[::-1], 2))
 
 
 @dataclass(frozen=True)
@@ -65,20 +60,18 @@ class McfsSignature:
 
 def mcfs_sign(
     sk: NiedSecretKey,
-    spec: HashSpec,
     msg: bytes,
     rng: random.Random,
     retry_cap: int | None = None,
 ) -> McfsSignature:
     """Draw counters until the hashed syndrome decodes; sign with the preimage."""
-    r = sk.code.n - sk.code.k
-    if spec.out_bits != r:
-        raise DimensionMismatch(f"hash emits {spec.out_bits} bits, code needs {r}")
+    bits = sk.code.n - sk.code.k
+    top = counter_max(bits)
     if retry_cap is None:
         retry_cap = 1000 * math.factorial(sk.code.t)
     for attempt in range(1, retry_cap + 1):
-        i = rng.randrange(1, spec.counter_max + 1)
-        syn = hash_to_syndrome(spec, msg, i)
+        i = rng.randrange(1, top + 1)
+        syn = hash_to_syndrome(bits, msg, i)
         try:
             x = nied_decrypt(sk, syn)
         except Undecodable:
@@ -87,11 +80,12 @@ def mcfs_sign(
     raise RetryLimitExceeded(f"no decodable syndrome in {retry_cap} attempts")
 
 
-def mcfs_verify(pk: NiedPublicKey, spec: HashSpec, msg: bytes, sig: McfsSignature) -> bool:
+def mcfs_verify(pk: NiedPublicKey, msg: bytes, sig: McfsSignature) -> bool:
     """True iff sig.x is a weight-<=t preimage of the hashed syndrome."""
     x = sig.x
+    bits = pk.h_tilde.nrows
     if x.n != pk.n or x.weight() > pk.t:
         return False
-    if not 1 <= sig.i <= spec.counter_max:
+    if not 1 <= sig.i <= counter_max(bits):
         return False
-    return mat_vec_mul(pk.h_tilde, x) == hash_to_syndrome(spec, msg, sig.i)
+    return mat_vec_mul(pk.h_tilde, x) == hash_to_syndrome(bits, msg, sig.i)

@@ -7,7 +7,7 @@ publishing its scrambled syndrome; decrypting unscrambles and decodes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .binmat import (
     BitMatrix,
@@ -31,9 +31,15 @@ __all__ = ["NiedPublicKey", "NiedSecretKey", "nied_decrypt", "nied_encrypt", "ni
 @dataclass(frozen=True)
 class NiedPublicKey:
     h_tilde: BitMatrix  # (n-k) x n
-    n: int
-    k: int
     t: int
+
+    @property
+    def n(self) -> int:
+        return self.h_tilde.ncols
+
+    @property
+    def k(self) -> int:
+        return self.h_tilde.ncols - self.h_tilde.nrows
 
 
 @dataclass(frozen=True)
@@ -41,7 +47,11 @@ class NiedSecretKey:
     q: BitMatrix
     code: GoppaCode
     p: Permutation
-    q_inv: BitMatrix  # cached; mat_invert(q)
+    q_inv: BitMatrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # once per key, not per decrypt; a singular q raises Singular here
+        object.__setattr__(self, "q_inv", mat_invert(self.q))
 
 
 def nied_keygen(
@@ -66,9 +76,7 @@ def nied_keygen(
     if p.n != code.n:
         raise DimensionMismatch(f"P must act on {code.n} points")
     h_tilde = mat_mul(q, permute_columns(code.H_bin, p))
-    pk = NiedPublicKey(h_tilde, code.n, code.k, t)
-    sk = NiedSecretKey(q, code, p, mat_invert(q))
-    return pk, sk
+    return NiedPublicKey(h_tilde, t), NiedSecretKey(q, code, p)
 
 
 def nied_encrypt(pk: NiedPublicKey, x: BitVector) -> BitVector:

@@ -1,10 +1,13 @@
 """Stern's 3-pass zero-knowledge identification from syndrome decoding.
 
-The prover holds a low-weight s with pk_matrix @ s = identifier.  Per
-round it commits to a masking vector y and a permutation sigma through
-three hashes, answers one of three challenges, and leaks nothing about
-s beyond its weight.  Each round catches a cheater with probability at
-least 1/3, so k rounds leave a soundness error of (2/3)^k.
+The prover holds a low-weight s with h @ s = identifier, for the
+public (n-k) x n matrix h.  Per round it commits to a masking vector y
+and a permutation sigma through three hashes, answers one of three
+challenges, and leaks nothing about s beyond its weight w.  Each round
+catches a cheater with probability at least 1/3, so k rounds leave a
+soundness error of (2/3)^k.  The functions here take h, s and w as they
+are; the round count k and the weight bound t belong to the master
+public key (ibi.MasterPublicKey).
 """
 from __future__ import annotations
 
@@ -27,7 +30,6 @@ from .errors import (
     CodeIbiError,
     DimensionMismatch,
     MalformedEnvelope,
-    ParameterError,
     RangeError,
     StateReuse,
 )
@@ -38,8 +40,6 @@ __all__ = [
     "ProverRoundState",
     "Response",
     "RoundTranscript",
-    "SternParams",
-    "SternSecret",
     "draw_challenge",
     "encode_perm",
     "rounds_for_security",
@@ -50,31 +50,6 @@ __all__ = [
 ]
 
 DOMAIN_COMMIT = 0x02  # domain separator for round commitments
-
-
-@dataclass(frozen=True)
-class SternParams:
-    """Public protocol parameters shared by prover and verifier."""
-
-    n: int
-    t: int
-    rounds: int
-    pk_matrix: BitMatrix
-
-    def __post_init__(self):
-        if self.pk_matrix.ncols != self.n:
-            raise DimensionMismatch(
-                f"matrix has {self.pk_matrix.ncols} columns, protocol length {self.n}"
-            )
-        if self.rounds < 1:
-            raise ParameterError("need at least one round")
-        if not 1 <= self.t <= self.n:
-            raise ParameterError(f"weight bound t={self.t} out of range")
-
-
-@dataclass(frozen=True)
-class SternSecret:
-    s: BitVector
 
 
 @dataclass(frozen=True)
@@ -143,16 +118,17 @@ def _commit(*parts: bytes) -> bytes:
     return h.digest()
 
 
-def stern_commit(params: SternParams, secret: SternSecret, rng: random.Random):
+def stern_commit(h: BitMatrix, s: BitVector, rng: random.Random):
     """Fresh (y, sigma) and the three round commitments."""
-    if secret.s.n != params.n:
-        raise DimensionMismatch(f"secret length {secret.s.n}, protocol length {params.n}")
-    y = BitVector.random(params.n, rng)
-    sigma = random_permutation(params.n, rng)
-    syn_y = mat_vec_mul(params.pk_matrix, y)
+    n = h.ncols
+    if s.n != n:
+        raise DimensionMismatch(f"secret length {s.n}, matrix width {n}")
+    y = BitVector.random(n, rng)
+    sigma = random_permutation(n, rng)
+    syn_y = mat_vec_mul(h, y)
     sigma_inv = sigma.inverse()  # one inverse serves both sigma(y) and sigma(s)
     sig_y = apply_inverse_permutation(sigma_inv, y)
-    sig_s = apply_inverse_permutation(sigma_inv, secret.s)
+    sig_s = apply_inverse_permutation(sigma_inv, s)
     com = Commitments(
         _commit(encode_perm(sigma), syn_y.to_bytes()),
         _commit(sig_y.to_bytes()),
@@ -161,7 +137,7 @@ def stern_commit(params: SternParams, secret: SternSecret, rng: random.Random):
     return ProverRoundState(y, sigma, sig_y, sig_s, syn_y), com
 
 
-def stern_respond(state: ProverRoundState, secret: SternSecret, ch: int) -> Response:
+def stern_respond(state: ProverRoundState, s: BitVector, ch: int) -> Response:
     """Open the pair of commitments selected by the challenge."""
     if state.consumed:
         raise StateReuse("round state already answered")
@@ -170,31 +146,30 @@ def stern_respond(state: ProverRoundState, secret: SternSecret, ch: int) -> Resp
     state.consumed = True
     if ch == 2:
         return Response(2, state.sig_y, vec2=state.sig_s)
-    return Response(ch, state.y if ch == 0 else state.y ^ secret.s, perm=state.sigma)
+    return Response(ch, state.y if ch == 0 else state.y ^ s, perm=state.sigma)
 
 
 def verify_round(
-    params: SternParams,
+    h: BitMatrix,
     identifier: BitVector,
     com: Commitments,
     ch: int,
     resp: Response,
-    weight: int | None = None,
+    w: int,
 ) -> bool:
     """Check one round's opened commitments against the identifier.
 
-    weight is the claimed weight of the secret (the b=2 test); defaults
-    to the full decoding bound t.
+    w is the secret's declared weight, which the b=2 opening must show.
     """
-    w = params.t if weight is None else weight
+    n = h.ncols
     try:
-        if resp.b != ch or resp.vec is None or resp.vec.n != params.n:
+        if resp.b != ch or resp.vec is None or resp.vec.n != n:
             return False
         if ch in (0, 1):
             # b=0 opens y (c1, c2); b=1 opens y + s, whose syndrome is off by the identifier (c1, c3)
-            if resp.perm is None or resp.perm.n != params.n:
+            if resp.perm is None or resp.perm.n != n:
                 return False
-            syn = mat_vec_mul(params.pk_matrix, resp.vec)
+            syn = mat_vec_mul(h, resp.vec)
             if ch == 1:
                 syn ^= identifier
             opened = com.c3 if ch else com.c2
@@ -202,7 +177,7 @@ def verify_round(
                 apply_permutation(resp.perm, resp.vec).to_bytes()
             )
         if ch == 2:
-            if resp.vec2 is None or resp.vec2.n != params.n:
+            if resp.vec2 is None or resp.vec2.n != n:
                 return False
             return (
                 com.c2 == _commit(resp.vec.to_bytes())

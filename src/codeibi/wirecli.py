@@ -21,7 +21,7 @@ import sys
 import threading
 from pathlib import Path
 
-from .binmat import BitMatrix, BitVector, Permutation, mat_invert
+from .binmat import BitMatrix, BitVector, Permutation
 from .errors import (
     ChannelError,
     CodeIbiError,
@@ -51,7 +51,7 @@ from .ibi import (
     ibs_verify,
     master_keygen,
 )
-from .mcfs import DOMAIN_SYNDROME, HashSpec, McfsSignature
+from .mcfs import DOMAIN_SYNDROME, MAX_SYNDROME_BITS, McfsSignature, counter_max
 from .niederreiter import NiedPublicKey, NiedSecretKey, nied_decrypt, nied_keygen
 from .stern import DOMAIN_COMMIT, Commitments, Response, RoundTranscript
 
@@ -92,6 +92,7 @@ MSG_RESULT = 0x14
 
 _MAX_WIRE_PAYLOAD = 1 << 28  # frames read by a caller that names no cap
 _MAX_WORDS = 1 << 16  # entries in a permutation or polynomial
+_MAX_ROUNDS = 1 << 20  # rounds in a signature or transcript
 
 
 @dataclasses.dataclass(frozen=True)
@@ -207,17 +208,35 @@ def decode_response_payload(payload: bytes) -> Response:
     return _parse(payload, _dec_response)
 
 
-def _challenge(ch: int) -> int:
+# ---- rules an encoder and its decoder share ---------------------------------
+
+
+def _check_round_count(k: int, least: int) -> None:
+    if not least <= k <= _MAX_ROUNDS:
+        raise MalformedEnvelope(f"bad round count {k}")
+
+
+def _check_round(ch: int, resp: Response) -> Response:
+    """A round's response, which must answer its ternary challenge under that tag."""
     if ch not in (0, 1, 2):
         raise MalformedEnvelope(f"bad challenge {ch}")
-    return ch
-
-
-def _dec_answer(r: _Reader, ch: int) -> Response:
-    resp = _dec_response(r)
     if resp.b != ch:
         raise MalformedEnvelope("response tag disagrees with its challenge")
     return resp
+
+
+def _check_verdict(accepted: bool, passed: list) -> None:
+    """A verifier stops at the first failed round and accepts only after a passed one."""
+    if not all(passed[:-1]) or accepted and passed[-1:] != [True]:
+        raise MalformedEnvelope("verdict contradicts its rounds")
+
+
+def _check_credential(usk: UserSecretKey, mpk: MasterPublicKey) -> None:
+    """The secret an extraction issues: length n, weight w <= t, counter in range."""
+    pk, s = mpk.nied_pk, usk.s
+    top = counter_max(pk.h_tilde.nrows)
+    if s.n != pk.n or usk.w != s.weight() or usk.w > pk.t or not 1 <= usk.j <= top:
+        raise MalformedEnvelope("secret does not fit its credential")
 
 
 def _hello_payload(identity: bytes, j: int, w: int) -> bytes:
@@ -254,8 +273,7 @@ def _dec_mpk_body(r: _Reader) -> MasterPublicKey:
     n = 1 << m
     if h.ncols != n or h.nrows != m * t:
         raise MalformedEnvelope("public key dimensions are inconsistent")
-    pk = NiedPublicKey(h, n, n - m * t, t)
-    return MasterPublicKey(pk, HashSpec(m * t), rounds)
+    return MasterPublicKey(NiedPublicKey(h, t), rounds)
 
 
 def _enc_msk_body(msk: MasterSecretKey) -> bytes:
@@ -280,15 +298,15 @@ def _dec_msk_body(r: _Reader) -> MasterSecretKey:
     # no mpk has a syndrome longer than one hash, so no usable msk does either
     if q.nrows != m * t or q.ncols != m * t or p.n != 1 << m:
         raise MalformedEnvelope("secret key dimensions are inconsistent")
-    if m * t > HashSpec.MAX_OUT_BITS:
-        raise MalformedEnvelope(f"m*t={m * t} exceeds the {HashSpec.MAX_OUT_BITS}-bit syndrome")
+    if m * t > MAX_SYNDROME_BITS:
+        raise MalformedEnvelope(f"m*t={m * t} exceeds the {MAX_SYNDROME_BITS}-bit syndrome")
     code = code_from_poly(FieldParams(m, modulus), t, Gf2mPoly(coeffs))
-    q_inv = mat_invert(q)
-    return MasterSecretKey(NiedSecretKey(q, code, p, q_inv))
+    return MasterSecretKey(NiedSecretKey(q, code, p))
 
 
 def _enc_usk_body(cred: UserCredential) -> bytes:
     usk = cred.usk
+    _check_credential(usk, cred.mpk)
     return struct.pack(">QH", usk.j, usk.w) + _enc_bitvec(usk.s) + _enc_mpk_body(cred.mpk)
 
 
@@ -296,10 +314,9 @@ def _dec_usk_body(r: _Reader) -> UserCredential:
     j, w = r.unpack(">QH")
     s = _dec_bitvec(r)
     mpk = _dec_mpk_body(r)
-    pk = mpk.nied_pk
-    if s.n != pk.n or w != s.weight() or w > pk.t or not 1 <= j <= mpk.hash_spec.counter_max:
-        raise MalformedEnvelope("secret does not fit its credential")
-    return UserCredential(UserSecretKey(s, j, w), mpk)
+    usk = UserSecretKey(s, j, w)
+    _check_credential(usk, mpk)
+    return UserCredential(usk, mpk)
 
 
 def _enc_mcfs_body(sig: McfsSignature) -> bytes:
@@ -313,51 +330,51 @@ def _dec_mcfs_body(r: _Reader) -> McfsSignature:
 
 def _enc_ibs_body(sig: IbsSignature) -> bytes:
     k = len(sig.commitments)
+    _check_round_count(k, 1)
     if len(sig.challenges) != k or len(sig.responses) != k:
         raise MalformedEnvelope("signature arrays disagree on the round count")
+    resps = list(map(encode_response_payload, map(_check_round, sig.challenges, sig.responses)))
     head = struct.pack(">QHI", sig.j, sig.w, k)
     coms = [com.to_bytes() for com in sig.commitments]
-    chs = bytes(map(_challenge, sig.challenges))
-    return b"".join([head, *coms, chs, *map(encode_response_payload, sig.responses)])
+    return b"".join([head, *coms, bytes(sig.challenges), *resps])
 
 
 def _dec_ibs_body(r: _Reader) -> IbsSignature:
     j, w, k = r.unpack(">QHI")
-    if not 1 <= k <= 1 << 20:
-        raise MalformedEnvelope(f"bad round count {k}")
+    _check_round_count(k, 1)
     coms = tuple(Commitments.from_bytes(r.take(Commitments.SIZE)) for _ in range(k))
-    chs = tuple(_challenge(r.unpack(">B")[0]) for _ in range(k))
-    resps = tuple(_dec_answer(r, ch) for ch in chs)
+    chs = tuple(r.take(k))
+    resps = tuple(_check_round(ch, _dec_response(r)) for ch in chs)
     return IbsSignature(j, w, coms, chs, resps)
 
 
 def _enc_transcript_body(tr: IbiTranscript) -> bytes:
+    _check_round_count(len(tr.rounds), 0)
+    _check_verdict(tr.accepted, [rt.accepted for rt in tr.rounds])
     head = struct.pack(">BI", bool(tr.accepted), len(tr.rounds))
     out = [_hello_payload(tr.identity, tr.j, tr.w), head]
     for rt in tr.rounds:
-        out += [rt.commitments.to_bytes(), bytes([_challenge(rt.challenge)])]
-        out += [encode_response_payload(rt.response), bytes([bool(rt.accepted)])]
+        resp = encode_response_payload(_check_round(rt.challenge, rt.response))
+        out += [rt.commitments.to_bytes(), bytes([rt.challenge]), resp, bytes([bool(rt.accepted)])]
     return b"".join(out)
 
 
 def _dec_transcript_body(r: _Reader) -> IbiTranscript:
     identity, j, w = _dec_hello(r)
     accepted, k = r.unpack(">BI")
-    if accepted > 1 or k > 1 << 20:
+    if accepted > 1:
         raise MalformedEnvelope("bad transcript header")
+    _check_round_count(k, 0)
     rounds = []
     for _ in range(k):
         com = Commitments.from_bytes(r.take(Commitments.SIZE))
-        ch = _challenge(r.unpack(">B")[0])
-        resp = _dec_answer(r, ch)
+        (ch,) = r.unpack(">B")
+        resp = _check_round(ch, _dec_response(r))
         (ok,) = r.unpack(">B")
         if ok > 1:
             raise MalformedEnvelope("bad accept flag")
         rounds.append(RoundTranscript(com, ch, resp, bool(ok)))
-    # a verifier stops at the first failed round and accepts only after a passed one
-    passed = [rt.accepted for rt in rounds]
-    if not all(passed[:-1]) or accepted and passed[-1:] != [True]:
-        raise MalformedEnvelope("verdict contradicts its rounds")
+    _check_verdict(bool(accepted), [rt.accepted for rt in rounds])
     return IbiTranscript(identity, j, w, bool(accepted), tuple(rounds))
 
 
@@ -590,7 +607,7 @@ def run_prover(host: str, port: int, cred: UserCredential, identity: bytes, rng:
         # without it Nagle holds each COMMIT until the verifier's delayed ACK
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         _send_msg(sock, MSG_HELLO, _hello_payload(identity, cred.usk.j, cred.usk.w))
-        for _ in range(prover.params.rounds):
+        for _ in range(cred.mpk.stern_rounds):
             com = prover.commit()
             _send_msg(sock, MSG_COMMIT, com.to_bytes())
             mtype, payload = _recv_msg(sock, 1)  # a CHALLENGE or an early RESULT

@@ -141,16 +141,16 @@ def test_05_honest_sessions_always_accept():
 def test_06_cheating_is_capped_at_two_thirds():
     # deterministic half: each canned cheat answers exactly 2 of 3 challenges
     mpk, _ = master_keygen(FieldParams(5), 2, 10, random.Random(109))
-    params = mpk.stern_params()
+    h = mpk.nied_pk.h_tilde
     j = 1
     ident = derive_identifier(mpk, b"victim", j)
-    while gaussian_solve(params.pk_matrix, ident).weight() == 2:
+    while gaussian_solve(h, ident).weight() == 2:
         j += 1
         ident = derive_identifier(mpk, b"victim", j)
     sets_ok = True
     for strat in CheatStrategy:
         for seed in range(5):
-            got = strategy_acceptance_set(strat, params, ident, 2, random.Random(seed))
+            got = strategy_acceptance_set(strat, h, ident, 2, random.Random(seed))
             sets_ok = sets_ok and len(got) == 2
 
     res1 = impersonation_game(GameConfig(5, 2, 1, 30000, 110, "cheat"))
@@ -242,7 +242,7 @@ def test_09_wire_session_matches_in_process():
         mpk,
         msk,
         cred,
-        mcfs_sign(msk.nied_sk, mpk.hash_spec, b"raw", rng),
+        mcfs_sign(msk.nied_sk, b"raw", rng),
         ibs_sign(usk, mpk, b"alice", b"msg", rng),
         wire_tr,
         CodeParams(5, 0x25, 2),

@@ -37,17 +37,17 @@ def setup_instance(seed=1):
     pivot solution weighs something other than t.
     """
     mpk, msk = master_keygen(FieldParams(5), 2, 10, random.Random(seed))
-    params = mpk.stern_params()
+    h = mpk.nied_pk.h_tilde
     j = 1
     ident = derive_identifier(mpk, b"victim", j)
-    while gaussian_solve(params.pk_matrix, ident).weight() == 2:
+    while gaussian_solve(h, ident).weight() == 2:
         j += 1
         ident = derive_identifier(mpk, b"victim", j)
-    return mpk, msk, params, ident
+    return mpk, msk, h, ident
 
 
 def test_each_strategy_answers_exactly_its_pair():
-    _, _, params, ident = setup_instance()
+    _, _, h, ident = setup_instance()
     expected = {
         CheatStrategy.SOLVE_SYNDROME: {0, 1},
         CheatStrategy.WEIGHT_ONLY: {0, 2},
@@ -55,26 +55,26 @@ def test_each_strategy_answers_exactly_its_pair():
     }
     for strat, want in expected.items():
         for seed in range(8):
-            got = strategy_acceptance_set(strat, params, ident, 2, random.Random(seed))
+            got = strategy_acceptance_set(strat, h, ident, 2, random.Random(seed))
             assert got == want, (strat, seed, got)
 
 
 def test_solve_syndrome_vector_really_solves():
-    _, _, params, ident = setup_instance(seed=2)
+    _, _, h, ident = setup_instance(seed=2)
     state, _ = cheat_commit(
-        CheatStrategy.SOLVE_SYNDROME, params, ident, 2, random.Random(3)
+        CheatStrategy.SOLVE_SYNDROME, h, ident, 2, random.Random(3)
     )
-    assert mat_vec_mul(params.pk_matrix, state.s_fake) == ident
+    assert mat_vec_mul(h, state.s_fake) == ident
     assert state.s_fake.weight() != 2
 
 
 def test_weight_only_vector_has_right_weight_wrong_syndrome():
-    _, _, params, ident = setup_instance(seed=4)
+    _, _, h, ident = setup_instance(seed=4)
     state, _ = cheat_commit(
-        CheatStrategy.WEIGHT_ONLY, params, ident, 2, random.Random(5)
+        CheatStrategy.WEIGHT_ONLY, h, ident, 2, random.Random(5)
     )
     assert state.s_fake.weight() == 2
-    assert mat_vec_mul(params.pk_matrix, state.s_fake) != ident
+    assert mat_vec_mul(h, state.s_fake) != ident
 
 
 def test_game_honest_always_accepts():

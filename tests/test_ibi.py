@@ -5,10 +5,14 @@ import random
 import pytest
 
 from codeibi import (
+    BitMatrix,
     BitVector,
     CheatStrategy,
     FieldParams,
     IbsSignature,
+    MasterPublicKey,
+    NiedPublicKey,
+    ParameterError,
     ProtocolViolation,
     Prover,
     Response,
@@ -16,6 +20,7 @@ from codeibi import (
     Verifier,
     cheat_commit,
     cheat_respond,
+    counter_max,
     derive_identifier,
     extract_user_key,
     fs_challenges,
@@ -36,7 +41,7 @@ def test_master_keygen_shapes():
     mpk, msk = authority(10, 3, 28, seed=2)
     assert mpk.nied_pk.h_tilde.nrows == 30
     assert mpk.nied_pk.h_tilde.ncols == 1024
-    assert mpk.hash_spec.out_bits == 30
+    assert mpk.nied_pk.n - mpk.nied_pk.k == 30
     assert mpk.stern_rounds == 28
     assert msk.nied_sk.code.t == 3
 
@@ -48,7 +53,7 @@ def test_extraction_invariant():
         identity = f"user-{i}".encode()
         usk = extract_user_key(msk, mpk, identity, rng)
         assert usk.w == usk.s.weight() <= mpk.nied_pk.t
-        assert 1 <= usk.j <= mpk.hash_spec.counter_max
+        assert 1 <= usk.j <= counter_max(mpk.nied_pk.h_tilde.nrows)
         assert mat_vec_mul(mpk.nied_pk.h_tilde, usk.s) == derive_identifier(
             mpk, identity, usk.j
         )
@@ -209,17 +214,17 @@ def test_ibs_rejects_signatures_shorter_than_the_mpk_round_count():
     mpk, msk = authority(rounds=40, seed=34)
     identity, j, w = b"victim", 1, mpk.nied_pk.t
     identifier = derive_identifier(mpk, identity, j)
-    one_round = dataclasses.replace(mpk, stern_rounds=1).stern_params()
+    h = mpk.nied_pk.h_tilde
     rng = random.Random(35)
     forged = []
     for i in range(30):
         msg = f"forged {i}".encode()
-        state, com = cheat_commit(CheatStrategy.WEIGHT_ONLY, one_round, identifier, w, rng)
+        state, com = cheat_commit(CheatStrategy.WEIGHT_ONLY, h, identifier, w, rng)
         (ch,) = fs_challenges(mpk, identity, j, com.c1 + com.c2 + com.c3, msg, 1)
         resp = cheat_respond(state, ch)
         forged.append((msg, IbsSignature(j, w, (com,), (ch,), (resp,))))
     passing = sum(
-        verify_round(one_round, identifier, sig.commitments[0], sig.challenges[0], sig.responses[0], weight=w)
+        verify_round(h, identifier, sig.commitments[0], sig.challenges[0], sig.responses[0], w)
         for _, sig in forged
     )
     assert passing > 10  # the forgeries are not vacuous: most rounds open correctly
@@ -299,3 +304,19 @@ def test_verifier_takes_no_round_after_a_failed_one():
     assert verifier.done and not verifier.accepted
     with pytest.raises(ProtocolViolation):
         verifier.record(verifier.rounds[0].commitments, 0, verifier.rounds[0].response)
+
+
+def test_mpk_checks_the_bounds_every_size_is_read_from():
+    # k >= 1, 1 <= t <= n and r <= 256 hold for every MasterPublicKey, decoded or built
+    mpk, _ = authority(seed=36)
+    pk = mpk.nied_pk
+    with pytest.raises(ParameterError):
+        MasterPublicKey(pk, 0)
+    for t in (0, pk.n + 1):
+        with pytest.raises(ParameterError):
+            MasterPublicKey(NiedPublicKey(pk.h_tilde, t), 10)
+    with pytest.raises(ParameterError):
+        MasterPublicKey(NiedPublicKey(BitMatrix.zeros(257, 512), 2), 10)
+    widest = MasterPublicKey(NiedPublicKey(BitMatrix.zeros(256, 512), 2), 1)
+    assert (widest.nied_pk.n, widest.nied_pk.k) == (512, 256)
+    assert MasterPublicKey(NiedPublicKey(pk.h_tilde, pk.n), 1).nied_pk.t == pk.n

@@ -8,7 +8,9 @@ from codeibi import (
     BitVector,
     DimensionMismatch,
     FieldParams,
+    NiedSecretKey,
     Permutation,
+    Singular,
     Undecodable,
     WeightError,
     mat_mul,
@@ -105,3 +107,15 @@ def test_decrypt_dimension_guard():
     pk, sk = keys(5, 2, 11)
     with pytest.raises(DimensionMismatch):
         nied_decrypt(sk, BitVector.zeros(pk.n - pk.k + 1))
+
+
+def test_secret_key_inverts_its_own_scramble():
+    # q_inv is made from q when the key is built, so it cannot disagree with q
+    _, sk = keys(5, 2, 12)
+    again = NiedSecretKey(sk.q, sk.code, sk.p)
+    assert again == sk and again.q_inv == sk.q_inv
+    singular = BitMatrix(10, 10, [1 << i for i in range(9)] + [1])  # rows 0 and 9 agree
+    with pytest.raises(Singular):
+        NiedSecretKey(singular, sk.code, sk.p)
+    with pytest.raises(Singular):
+        keys(5, 2, 12, q=singular)

@@ -53,8 +53,8 @@ PINNED_KINDS = {
 
 def kind_digests() -> dict:
     rng = random.Random(72)
-    mpk, msk = master_keygen(FieldParams(10), 3, 1, rng)
-    sig = mcfs_sign(msk.nied_sk, mpk.hash_spec, b"pinned message", rng)
+    _, msk = master_keygen(FieldParams(10), 3, 1, rng)
+    sig = mcfs_sign(msk.nied_sk, b"pinned message", rng)
     params = CodeParams(16, FieldParams(16).modulus, 9)
     return {
         "mcfs": hashlib.sha256(encode(sig)).hexdigest(),

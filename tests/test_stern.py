@@ -10,8 +10,6 @@ from codeibi import (
     MalformedEnvelope,
     RangeError,
     Response,
-    SternParams,
-    SternSecret,
     StateReuse,
     apply_permutation,
     draw_challenge,
@@ -25,120 +23,119 @@ from codeibi import (
 )
 
 
-def setup(m=5, t=2, seed=1, rounds=10):
+def setup(m=5, t=2, seed=1):
     pk, _ = nied_keygen(FieldParams(m), t, random.Random(seed))
     rng = random.Random(seed + 1000)
     s = BitVector.random_weight(pk.n, t, rng)
     identifier = mat_vec_mul(pk.h_tilde, s)
-    params = SternParams(pk.n, pk.t, rounds, pk.h_tilde)
-    return params, SternSecret(s), identifier
+    return pk.h_tilde, s, identifier
 
 
 def test_commitment_format_and_determinism():
-    params, secret, _ = setup()
-    _, c_a = stern_commit(params, secret, random.Random(7))
-    _, c_b = stern_commit(params, secret, random.Random(7))
+    h, s, _ = setup()
+    _, c_a = stern_commit(h, s, random.Random(7))
+    _, c_b = stern_commit(h, s, random.Random(7))
     assert (c_a.c1, c_a.c2, c_a.c3) == (c_b.c1, c_b.c2, c_b.c3)
     assert len(c_a.c1) == len(c_a.c2) == len(c_a.c3) == 32
 
 
 def test_commitments_fresh_across_seeds():
-    params, secret, _ = setup()
+    h, s, _ = setup()
     seen = set()
     for seed in range(1000):
-        _, com = stern_commit(params, secret, random.Random(seed))
+        _, com = stern_commit(h, s, random.Random(seed))
         seen.update((com.c1, com.c2, com.c3))
     assert len(seen) == 3000
 
 
 def test_honest_round_all_challenges():
-    params, secret, identifier = setup()
+    h, s, identifier = setup()
     for ch in (0, 1, 2):
-        st, com = stern_commit(params, secret, random.Random(20 + ch))
-        resp = stern_respond(st, secret, ch)
+        st, com = stern_commit(h, s, random.Random(20 + ch))
+        resp = stern_respond(st, s, ch)
         assert resp.b == ch
-        assert verify_round(params, identifier, com, ch, resp)
+        assert verify_round(h, identifier, com, ch, resp, s.weight())
 
 
 def test_response_contents():
-    params, secret, _ = setup()
-    st, _ = stern_commit(params, secret, random.Random(30))
+    h, s, _ = setup()
+    st, _ = stern_commit(h, s, random.Random(30))
     y, sigma = st.y, st.sigma
-    r0 = stern_respond(st, secret, 0)
+    r0 = stern_respond(st, s, 0)
     assert r0.vec == y and r0.perm.map == sigma.map
 
-    st, _ = stern_commit(params, secret, random.Random(31))
+    st, _ = stern_commit(h, s, random.Random(31))
     y = st.y
-    r1 = stern_respond(st, secret, 1)
-    assert r1.vec == y ^ secret.s
+    r1 = stern_respond(st, s, 1)
+    assert r1.vec == y ^ s
 
-    st, _ = stern_commit(params, secret, random.Random(32))
+    st, _ = stern_commit(h, s, random.Random(32))
     y, sigma = st.y, st.sigma
-    r2 = stern_respond(st, secret, 2)
+    r2 = stern_respond(st, s, 2)
     assert r2.vec == apply_permutation(sigma, y)
-    assert r2.vec2 == apply_permutation(sigma, secret.s)
-    assert r2.vec2.weight() == secret.s.weight()
+    assert r2.vec2 == apply_permutation(sigma, s)
+    assert r2.vec2.weight() == s.weight()
 
 
 def test_state_consumed_once():
-    params, secret, _ = setup()
-    st, _ = stern_commit(params, secret, random.Random(40))
-    stern_respond(st, secret, 0)
+    h, s, _ = setup()
+    st, _ = stern_commit(h, s, random.Random(40))
+    stern_respond(st, s, 0)
     with pytest.raises(StateReuse):
-        stern_respond(st, secret, 1)
-    st, _ = stern_commit(params, secret, random.Random(41))
+        stern_respond(st, s, 1)
+    st, _ = stern_commit(h, s, random.Random(41))
     with pytest.raises(RangeError):
-        stern_respond(st, secret, 3)
+        stern_respond(st, s, 3)
 
 
 def test_wrong_branch_rejected():
-    params, secret, identifier = setup()
-    st, com = stern_commit(params, secret, random.Random(50))
-    resp = stern_respond(st, secret, 0)
-    assert not verify_round(params, identifier, com, 1, resp)
-    assert not verify_round(params, identifier, com, 2, resp)
+    h, s, identifier = setup()
+    st, com = stern_commit(h, s, random.Random(50))
+    resp = stern_respond(st, s, 0)
+    assert not verify_round(h, identifier, com, 1, resp, s.weight())
+    assert not verify_round(h, identifier, com, 2, resp, s.weight())
 
 
 def test_overweight_second_vector_rejected():
-    params, secret, identifier = setup()
-    st, com = stern_commit(params, secret, random.Random(60))
-    resp = stern_respond(st, secret, 2)
+    h, s, identifier = setup()
+    st, com = stern_commit(h, s, random.Random(60))
+    resp = stern_respond(st, s, 2)
     # flip a clear bit: weight grows past the declared value
-    extra = next(i for i in range(params.n) if not resp.vec2.get(i))
-    fat = resp.vec2 ^ BitVector.from_support(params.n, [extra])
-    assert not verify_round(params, identifier, com, 2, Response(2, resp.vec, vec2=fat))
+    extra = next(i for i in range(h.ncols) if not resp.vec2.get(i))
+    fat = resp.vec2 ^ BitVector.from_support(h.ncols, [extra])
+    assert not verify_round(h, identifier, com, 2, Response(2, resp.vec, vec2=fat), s.weight())
 
 
 def test_tampered_vectors_rejected():
-    params, secret, identifier = setup()
+    h, s, identifier = setup()
     for ch in (0, 1, 2):
-        st, com = stern_commit(params, secret, random.Random(70 + ch))
-        resp = stern_respond(st, secret, ch)
-        bad_vec = resp.vec ^ BitVector.from_support(params.n, [3])
+        st, com = stern_commit(h, s, random.Random(70 + ch))
+        resp = stern_respond(st, s, ch)
+        bad_vec = resp.vec ^ BitVector.from_support(h.ncols, [3])
         tampered = Response(ch, bad_vec, perm=resp.perm, vec2=resp.vec2)
-        assert not verify_round(params, identifier, com, ch, tampered)
+        assert not verify_round(h, identifier, com, ch, tampered, s.weight())
 
 
 def test_b0_transcript_is_secret_free():
     # everything the verifier sees for b=0 must be recomputable from (y, sigma)
-    params, secret, identifier = setup()
-    st, com = stern_commit(params, secret, random.Random(80))
-    resp = stern_respond(st, secret, 0)
+    h, s, identifier = setup()
+    st, com = stern_commit(h, s, random.Random(80))
+    resp = stern_respond(st, s, 0)
     reconstructed = encode_perm(resp.perm) + resp.vec.to_bytes()
     again = encode_perm(st.sigma) + st.y.to_bytes()
     assert reconstructed == again
-    assert verify_round(params, identifier, com, 0, resp)
+    assert verify_round(h, identifier, com, 0, resp, s.weight())
 
 
 def test_wrong_secret_rejected_on_b1():
-    params, secret, identifier = setup()
+    h, s, identifier = setup()
     rng = random.Random(90)
-    other = SternSecret(BitVector.random_weight(params.n, params.t, rng))
-    if mat_vec_mul(params.pk_matrix, other.s) == identifier:
+    other = BitVector.random_weight(h.ncols, s.weight(), rng)
+    if mat_vec_mul(h, other) == identifier:
         pytest.skip("sampled the true key")
-    st, com = stern_commit(params, other, rng)
+    st, com = stern_commit(h, other, rng)
     resp = stern_respond(st, other, 1)
-    assert not verify_round(params, identifier, com, 1, resp)
+    assert not verify_round(h, identifier, com, 1, resp, s.weight())
 
 
 def test_draw_challenge_uniform():
@@ -158,16 +155,6 @@ def test_rounds_for_security():
         rounds_for_security(0.0)
     with pytest.raises(RangeError):
         rounds_for_security(1.0)
-
-
-def test_params_validation():
-    from codeibi import DimensionMismatch, ParameterError
-
-    pk, _ = nied_keygen(FieldParams(5), 2, random.Random(1))
-    with pytest.raises(ParameterError):
-        SternParams(pk.n, pk.t, 0, pk.h_tilde)
-    with pytest.raises(DimensionMismatch):
-        SternParams(pk.n + 1, pk.t, 5, pk.h_tilde)
 
 
 def test_commitments_bytes_round_trip_and_refuse_other_lengths():

@@ -21,7 +21,6 @@ from codeibi import (
     FieldParams,
     Gf2mPoly,
     GoppaCode,
-    HashSpec,
     MalformedEnvelope,
     MasterPublicKey,
     MasterSecretKey,
@@ -37,6 +36,7 @@ from codeibi import (
     Verifier,
     VerifierServer,
     VersionMismatch,
+    counter_max,
     decode,
     encode,
     extract_user_key,
@@ -72,7 +72,7 @@ def system():
     mpk, msk = master_keygen(FieldParams(5), 2, 9, rng)
     usk = extract_user_key(msk, mpk, b"alice", rng)
     sig = ibs_sign(usk, mpk, b"alice", b"hello", rng)
-    mcfs = mcfs_sign(msk.nied_sk, mpk.hash_spec, b"raw message", rng)
+    mcfs = mcfs_sign(msk.nied_sk, b"raw message", rng)
     tr = ibi_identify(usk, mpk, b"alice", random.Random(41), random.Random(42))
     params = CodeParams(5, 0x25, 2)
     return {
@@ -190,8 +190,7 @@ def test_file_roundtrip(tmp_path, system):
 
 def test_full_scale_public_key_size():
     h = BitMatrix.zeros(144, 65536)
-    pk = NiedPublicKey(h, 65536, 65536 - 144, 9)
-    mpk = MasterPublicKey(pk, HashSpec(144), 58)
+    mpk = MasterPublicKey(NiedPublicKey(h, 9), 58)
     blob = encode(mpk)
     assert len(blob) == 14 + 7 + 8 + 144 * 8192
     assert abs(len(blob) - 1_179_648) / 1_179_648 < 0.001
@@ -306,7 +305,7 @@ def test_mpk_refuses_fewer_than_one_round(system):
     # k >= 1 is an invariant of every MasterPublicKey, decoded or built
     mpk = system["mpk"]
     with pytest.raises(ParameterError):
-        MasterPublicKey(mpk.nied_pk, mpk.hash_spec, 0)
+        MasterPublicKey(mpk.nied_pk, 0)
     blob = bytearray(encode(mpk))
     assert blob[17:19] == mpk.stern_rounds.to_bytes(2, "big")  # after magic, version, kind, length, m, t
     blob[17:19] = b"\x00\x00"
@@ -500,7 +499,7 @@ def test_word_arrays_outside_16_bits_are_malformed(system):
     sk = system["msk"].nied_sk
     code = sk.code
     wide_g = Gf2mPoly((1 << 16,) + code.g.coeffs[1:])
-    wide_msk = MasterSecretKey(NiedSecretKey(sk.q, GoppaCode(code.params, code.t, wide_g, code.H_bin), sk.p, sk.q_inv))
+    wide_msk = MasterSecretKey(NiedSecretKey(sk.q, GoppaCode(code.params, code.t, wide_g, code.H_bin), sk.p))
     with pytest.raises(MalformedEnvelope):
         encode(wide_msk)
     n = (1 << 16) + 1
@@ -676,7 +675,7 @@ def test_mpk_decoder_refuses_any_other_syndrome_domain(system):
 
 def test_usk_decoder_refuses_a_counter_outside_its_range(system):
     usk, mpk = system["cred"].usk, system["mpk"]
-    top = mpk.hash_spec.counter_max
+    top = counter_max(mpk.nied_pk.h_tilde.nrows)
     assert top == 1024
     for j in (0, top + 1, 1029):
         with pytest.raises(MalformedEnvelope):
@@ -705,3 +704,61 @@ def test_transcript_decoder_refuses_a_verdict_that_contradicts_its_rounds(system
     assert admission.rounds == () and not wrong_key.rounds[-1].accepted
     for tr in (honest, admission, cut_short, wrong_key):
         assert decode(encode(tr)) == tr
+
+
+def test_credential_encoder_refuses_what_its_decoder_refuses(system):
+    # the declared weight is bound to s; a w that is not s.weight() used to encode
+    usk, mpk = system["cred"].usk, system["mpk"]
+    for bad in (dataclasses.replace(usk, w=usk.w + 1), dataclasses.replace(usk, j=0)):
+        with pytest.raises(MalformedEnvelope):
+            encode(UserCredential(bad, mpk))
+
+
+def test_signature_encoder_refuses_what_its_decoder_refuses(system):
+    # no rounds, or a response answering another challenge than its own, used to encode
+    sig = system["ibs"]
+    ch = sig.challenges[0]
+    misfits = [
+        dataclasses.replace(sig, commitments=(), challenges=(), responses=()),
+        dataclasses.replace(sig, challenges=((ch + 1) % 3, *sig.challenges[1:])),
+    ]
+    for bad in misfits:
+        with pytest.raises(MalformedEnvelope):
+            encode(bad)
+
+
+def test_transcript_encoder_refuses_what_its_decoder_refuses(system):
+    # an accepted session that holds a failed round used to encode
+    honest = system["transcript"]
+    failed = dataclasses.replace(honest.rounds[0], accepted=False)
+    with pytest.raises(MalformedEnvelope):
+        encode(dataclasses.replace(honest, rounds=(failed, *honest.rounds[1:])))
+    swapped = dataclasses.replace(honest.rounds[0], challenge=(honest.rounds[0].challenge + 1) % 3)
+    with pytest.raises(MalformedEnvelope):
+        encode(dataclasses.replace(honest, rounds=(swapped, *honest.rounds[1:])))
+
+
+def msk_fields(msk):
+    """What an msk is made of; GoppaCode itself compares by identity."""
+    sk = msk.nied_sk
+    return sk.q, sk.p, sk.code.params.m, sk.code.params.modulus, sk.code.t, sk.code.g
+
+
+@pytest.mark.parametrize("m,t,seed", [(5, 2, 80), (10, 3, 81)])
+def test_every_kind_decodes_to_the_value_it_encodes(m, t, seed):
+    rng = random.Random(seed)
+    mpk, msk = master_keygen(FieldParams(m), t, 7, rng)
+    usk = extract_user_key(msk, mpk, b"carol", rng)
+    cheat = UserSecretKey(BitVector.random_weight(mpk.nied_pk.n, t, rng), usk.j, t)
+    values = [
+        mpk,
+        UserCredential(usk, mpk),
+        mcfs_sign(msk.nied_sk, b"note", rng),
+        ibs_sign(usk, mpk, b"carol", b"note", rng),
+        ibi_identify(usk, mpk, b"carol", rng, rng),
+        ibi_identify(cheat, mpk, b"carol", rng, rng),
+        CodeParams(m, FieldParams(m).modulus, t),
+    ]
+    for value in values:
+        assert decode(encode(value)) == value, type(value).__name__
+    assert msk_fields(decode(encode(msk))) == msk_fields(msk)
