@@ -6,6 +6,7 @@ picks all move bits by one gather over an int's '0'/'1' string.
 """
 from __future__ import annotations
 
+import functools
 import operator
 import random
 
@@ -259,6 +260,16 @@ def random_nonsingular(dim: int, rng: random.Random) -> BitMatrix:
             return m
 
 
+@functools.lru_cache(maxsize=4)
+def _indices(n: int) -> tuple:
+    """tuple(range(n)), kept once per n for the last few n.
+
+    Every Permutation on n points holds these int objects in its map, so
+    a map costs 8 bytes an entry, not about 40 with an int of its own.
+    """
+    return tuple(range(n))
+
+
 class Permutation:
     """Permutation of {0..n-1}; map[i] is the image of position i."""
 
@@ -267,9 +278,18 @@ class Permutation:
     def __init__(self, images):
         images = tuple(images)
         n = len(images)
-        if images and (len(set(images)) != n or min(images) < 0 or max(images) >= n):
-            raise ParameterError("not a permutation")
-        self.map = images
+        indices = _indices(n)
+        try:
+            if images and (len(set(images)) != n or min(images) < 0 or max(images) >= n):
+                raise ParameterError("not a permutation")
+            # the same values as _indices(n)'s shared ints; a non-int entry raises
+            # TypeError, and itemgetter returns a tuple only for two or more picks
+            if n > 1:
+                self.map = operator.itemgetter(*images)(indices)
+            else:
+                self.map = tuple(indices[i] for i in images)
+        except TypeError as e:
+            raise ParameterError(f"not a permutation of ints: {e}") from e
 
     @classmethod
     def _unchecked(cls, images) -> "Permutation":
@@ -285,7 +305,7 @@ class Permutation:
     def inverse(self) -> "Permutation":
         """Rebuilt per call: a cached one keeps a second map alive per permutation."""
         inv = [0] * len(self.map)
-        for i, v in enumerate(self.map):
+        for i, v in zip(_indices(len(self.map)), self.map):
             inv[v] = i
         return Permutation._unchecked(inv)
 
@@ -303,7 +323,7 @@ def random_permutation(n: int, rng: random.Random) -> Permutation:
     """Uniform permutation (Fisher-Yates via rng.shuffle)."""
     if n < 1:
         raise ParameterError(f"length must be positive, got {n}")
-    images = list(range(n))
+    images = list(_indices(n))
     rng.shuffle(images)
     return Permutation._unchecked(images)
 

@@ -420,7 +420,10 @@ def is_irreducible(f: Gf2mPoly, p: FieldParams) -> bool:
     h = POLY_Z
     for _ in range(int(d) // 2):
         h = _poly_sqr_pow(h, p.m, f, p)  # one Frobenius step, h <- h^(2^m)
-        if poly_ext_gcd(poly_add(h, POLY_Z), f, -1, p)[0].degree != 0:
+        a, b = poly_add(h, POLY_Z), f
+        while not b.is_zero():  # Euclid on remainders alone: only the gcd's degree is read
+            a, b = b, poly_mod(a, b, p)
+        if a.degree != 0:
             return False
     return True
 

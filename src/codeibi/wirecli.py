@@ -239,6 +239,22 @@ def _check_credential(usk: UserSecretKey, mpk: MasterPublicKey) -> None:
         raise MalformedEnvelope("secret does not fit its credential")
 
 
+def _check_public_key(m: int, t: int, h: BitMatrix) -> None:
+    """h~ of an (m, t) Goppa code: m*t rows of 2^m columns."""
+    try:
+        _check_code_params(m, t)
+    except ParameterError as e:
+        raise MalformedEnvelope(str(e)) from e
+    if h.ncols != 1 << m or h.nrows != m * t:
+        raise MalformedEnvelope("public key dimensions are inconsistent")
+
+
+def _check_secret_key(m: int, t: int, q: BitMatrix, p: Permutation) -> None:
+    """Q and P of an (m, t) code: Q is m*t square and P acts on 2^m points."""
+    if q.nrows != m * t or q.ncols != m * t or p.n != 1 << m:
+        raise MalformedEnvelope("secret key dimensions are inconsistent")
+
+
 def _hello_payload(identity: bytes, j: int, w: int) -> bytes:
     """(identity, j, w): a HELLO's payload and a transcript's header."""
     return struct.pack(f">I{len(identity)}sQH", len(identity), identity, j, w)
@@ -259,6 +275,7 @@ def _parse_hello(payload: bytes) -> tuple:
 def _enc_mpk_body(mpk: MasterPublicKey) -> bytes:
     pk = mpk.nied_pk
     m = (pk.n - 1).bit_length()
+    _check_public_key(m, pk.t, pk.h_tilde)
     head = (m, pk.t, mpk.stern_rounds, DOMAIN_SYNDROME, DOMAIN_COMMIT)
     return struct.pack(">BHHBB", *head) + _enc_matrix(pk.h_tilde)
 
@@ -268,17 +285,15 @@ def _dec_mpk_body(r: _Reader) -> MasterPublicKey:
     if (ds_syn, ds_commit) != (DOMAIN_SYNDROME, DOMAIN_COMMIT):
         want = f"{DOMAIN_SYNDROME:#x}, {DOMAIN_COMMIT:#x}"
         raise MalformedEnvelope(f"domain bytes {ds_syn:#x}, {ds_commit:#x}, not {want}")
-    _check_code_params(m, t)
     h = _dec_matrix(r)
-    n = 1 << m
-    if h.ncols != n or h.nrows != m * t:
-        raise MalformedEnvelope("public key dimensions are inconsistent")
+    _check_public_key(m, t, h)
     return MasterPublicKey(NiedPublicKey(h, t), rounds)
 
 
 def _enc_msk_body(msk: MasterSecretKey) -> bytes:
     sk = msk.nied_sk
     code = sk.code
+    _check_secret_key(code.params.m, code.t, sk.q, sk.p)
     return (
         struct.pack(">BIH", code.params.m, code.params.modulus, code.t)
         + _enc_words(code.g.coeffs)
@@ -296,8 +311,7 @@ def _dec_msk_body(r: _Reader) -> MasterSecretKey:
     p = Permutation(_dec_words(r))
     # checked before code_from_poly, whose irreducibility test grows with t;
     # no mpk has a syndrome longer than one hash, so no usable msk does either
-    if q.nrows != m * t or q.ncols != m * t or p.n != 1 << m:
-        raise MalformedEnvelope("secret key dimensions are inconsistent")
+    _check_secret_key(m, t, q, p)
     if m * t > MAX_SYNDROME_BITS:
         raise MalformedEnvelope(f"m*t={m * t} exceeds the {MAX_SYNDROME_BITS}-bit syndrome")
     code = code_from_poly(FieldParams(m, modulus), t, Gf2mPoly(coeffs))

@@ -11,6 +11,7 @@ from codeibi import (
     ParameterError,
     Permutation,
     RangeError,
+    Response,
     Singular,
     apply_inverse_permutation,
     apply_permutation,
@@ -25,6 +26,7 @@ from codeibi import (
     random_permutation,
     select_columns,
 )
+from codeibi.wirecli import decode_response_payload, encode_response_payload
 
 
 def test_bitvector_basics():
@@ -249,3 +251,20 @@ def test_empty_permutation_on_empty_vector():
     assert apply_permutation(empty, BitVector(0)) == BitVector(0)
     assert apply_inverse_permutation(empty, BitVector(0)) == BitVector(0)
     assert perm_matrix(empty) == BitMatrix(0, 0, [])
+
+
+def test_permutations_on_n_points_share_one_int_per_value():
+    rng = random.Random(41)
+    p, q = random_permutation(4096, rng), random_permutation(4096, rng)
+    resp = Response(0, BitVector.random(4096, rng), perm=p)
+    decoded = decode_response_payload(encode_response_payload(resp)).perm
+    assert decoded == p
+    for other in (q, p.inverse(), q.inverse(), decoded, Permutation(list(q.map))):
+        assert all(a is b for a, b in zip(sorted(p.map), sorted(other.map)))
+
+
+def test_permutation_refuses_entries_that_are_not_ints():
+    for images in ((0.0, 1.0), (1, 0.0), (0.0,), ("a", "b"), (0, "b"), ([0], [1])):
+        with pytest.raises(ParameterError):
+            Permutation(images)
+    assert Permutation((True, False)).map == (1, 0)

@@ -762,3 +762,26 @@ def test_every_kind_decodes_to_the_value_it_encodes(m, t, seed):
     for value in values:
         assert decode(encode(value)) == value, type(value).__name__
     assert msk_fields(decode(encode(msk))) == msk_fields(msk)
+
+
+def test_mpk_encoder_refuses_what_its_decoder_refuses(system):
+    # 40 columns are no 2^m, and (3, 3) has k = -1; both used to encode
+    for h, t in ((BitMatrix.zeros(20, 40), 2), (BitMatrix.zeros(9, 8), 3)):
+        with pytest.raises(MalformedEnvelope):
+            encode(MasterPublicKey(NiedPublicKey(h, t), 3))
+    with pytest.raises(MalformedEnvelope):
+        decode(mpk_blob(3, 3))
+    assert decode(encode(system["mpk"])) == system["mpk"]
+
+
+def test_msk_encoder_refuses_what_its_decoder_refuses(system):
+    # a P on 16 points or a Q of the wrong size used to encode under a (5, 2) code
+    sk = system["msk"].nied_sk
+    misfits = [
+        NiedSecretKey(sk.q, sk.code, Permutation(range(16))),
+        NiedSecretKey(BitMatrix.identity(9), sk.code, sk.p),
+    ]
+    for bad in misfits:
+        with pytest.raises(MalformedEnvelope):
+            encode(MasterSecretKey(bad))
+    assert msk_fields(decode(encode(system["msk"]))) == msk_fields(system["msk"])
