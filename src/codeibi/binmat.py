@@ -6,9 +6,11 @@ picks all move bits by one gather over an int's '0'/'1' string.
 """
 from __future__ import annotations
 
+import array
 import functools
 import operator
 import random
+import sys
 
 from .errors import DimensionMismatch, Inconsistent, ParameterError, RangeError, Singular
 
@@ -279,17 +281,19 @@ class Permutation:
         images = tuple(images)
         n = len(images)
         indices = _indices(n)
+        # one pick from _indices(n) checks and shares at once: a non-int raises
+        # TypeError, an entry >= n IndexError, and a negative one wraps round to
+        # another value; itemgetter returns a tuple only for two or more picks
         try:
-            if images and (len(set(images)) != n or min(images) < 0 or max(images) >= n):
-                raise ParameterError("not a permutation")
-            # the same values as _indices(n)'s shared ints; a non-int entry raises
-            # TypeError, and itemgetter returns a tuple only for two or more picks
             if n > 1:
-                self.map = operator.itemgetter(*images)(indices)
+                mapped = operator.itemgetter(*images)(indices)
             else:
-                self.map = tuple(indices[i] for i in images)
-        except TypeError as e:
+                mapped = tuple(indices[i] for i in images)
+        except (TypeError, IndexError) as e:
             raise ParameterError(f"not a permutation of ints: {e}") from e
+        if mapped != images or len(set(mapped)) != n:
+            raise ParameterError("not a permutation")
+        self.map = mapped
 
     @classmethod
     def _unchecked(cls, images) -> "Permutation":
@@ -320,11 +324,35 @@ class Permutation:
 
 
 def random_permutation(n: int, rng: random.Random) -> Permutation:
-    """Uniform permutation (Fisher-Yates via rng.shuffle)."""
+    """Uniform permutation: the map, and the rng state after, of rng.shuffle(list(range(n))).
+
+    CPython's shuffle swaps position i, for i from n-1 down to 1, with
+    _randbelow(i + 1): the top k = (i+1).bit_length() bits of one 32-bit
+    word, drawn again while they exceed i.  While k stays the same, each
+    swap left takes at least one word, so getrandbits(32 * swaps left)
+    draws no word that shuffle would not, and yields the same words,
+    lowest first.  One shift and one mask of that int cut every word to
+    its top k bits, and the walk over them swaps on each word that is at
+    most i.  A SystemRandom runs the same code on its uniform bits.
+    """
     if n < 1:
         raise ParameterError(f"length must be positive, got {n}")
     images = list(_indices(n))
-    rng.shuffle(images)
+    i = n - 1
+    while i:
+        k = (i + 1).bit_length()
+        lo = (1 << (k - 1)) - 1  # the least i with this k
+        top_k = ((1 << k) - 1).to_bytes(4, "little")
+        while i >= lo:
+            need = i - lo + 1
+            bits = rng.getrandbits(32 * need) >> (32 - k) & int.from_bytes(top_k * need, "little")
+            words = array.array("I", bits.to_bytes(4 * need, "little"))
+            if sys.byteorder == "big":
+                words.byteswap()
+            for r in words:
+                if r <= i:
+                    images[i], images[r] = images[r], images[i]
+                    i -= 1
     return Permutation._unchecked(images)
 
 

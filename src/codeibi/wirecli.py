@@ -12,7 +12,9 @@ left before it is used, and decoders reject anything non-canonical.
 from __future__ import annotations
 
 import argparse
+import array
 import dataclasses
+import io
 import json
 import random
 import socket
@@ -90,6 +92,8 @@ MSG_CHALLENGE = 0x12
 MSG_RESPONSE = 0x13
 MSG_RESULT = 0x14
 
+_HEADER = ">4sBBQ"  # magic, version, kind, body length
+_HEADER_SIZE = struct.calcsize(_HEADER)
 _MAX_WIRE_PAYLOAD = 1 << 28  # frames read by a caller that names no cap
 _MAX_WORDS = 1 << 16  # entries in a permutation or polynomial
 _MAX_ROUNDS = 1 << 20  # rounds in a signature or transcript
@@ -154,17 +158,21 @@ def _enc_words(words) -> bytes:
     return struct.pack(f">I{len(words)}H", len(words), *words)
 
 
-def _dec_words(r: _Reader) -> tuple:
+def _dec_words(r: _Reader) -> array.array:
     (n,) = r.unpack(">I")
     if n > _MAX_WORDS:
         raise MalformedEnvelope(f"word array of {n} entries too large")
-    return r.unpack(f">{n}H")
+    words = array.array("H", r.take(2 * n))
+    if sys.byteorder == "little":
+        words.byteswap()
+    return words
 
 
-def _enc_matrix(m: BitMatrix) -> bytes:
+def _enc_matrix(m: BitMatrix, out: io.BytesIO) -> None:
     width = (m.ncols + 7) // 8
-    rows = b"".join(row.to_bytes(width, "little") for row in m.rows)
-    return struct.pack(">II", m.nrows, m.ncols) + rows
+    out.write(struct.pack(">II", m.nrows, m.ncols))
+    for row in m.rows:
+        out.write(row.to_bytes(width, "little"))
 
 
 def _dec_matrix(r: _Reader) -> BitMatrix:
@@ -272,12 +280,12 @@ def _parse_hello(payload: bytes) -> tuple:
 # ---- kind bodies ----------------------------------------------------------
 
 
-def _enc_mpk_body(mpk: MasterPublicKey) -> bytes:
+def _enc_mpk_body(mpk: MasterPublicKey, out: io.BytesIO) -> None:
     pk = mpk.nied_pk
     m = (pk.n - 1).bit_length()
     _check_public_key(m, pk.t, pk.h_tilde)
-    head = (m, pk.t, mpk.stern_rounds, DOMAIN_SYNDROME, DOMAIN_COMMIT)
-    return struct.pack(">BHHBB", *head) + _enc_matrix(pk.h_tilde)
+    out.write(struct.pack(">BHHBB", m, pk.t, mpk.stern_rounds, DOMAIN_SYNDROME, DOMAIN_COMMIT))
+    _enc_matrix(pk.h_tilde, out)
 
 
 def _dec_mpk_body(r: _Reader) -> MasterPublicKey:
@@ -290,16 +298,14 @@ def _dec_mpk_body(r: _Reader) -> MasterPublicKey:
     return MasterPublicKey(NiedPublicKey(h, t), rounds)
 
 
-def _enc_msk_body(msk: MasterSecretKey) -> bytes:
+def _enc_msk_body(msk: MasterSecretKey, out: io.BytesIO) -> None:
     sk = msk.nied_sk
     code = sk.code
     _check_secret_key(code.params.m, code.t, sk.q, sk.p)
-    return (
-        struct.pack(">BIH", code.params.m, code.params.modulus, code.t)
-        + _enc_words(code.g.coeffs)
-        + _enc_matrix(sk.q)
-        + _enc_words(sk.p.map)
-    )
+    out.write(struct.pack(">BIH", code.params.m, code.params.modulus, code.t))
+    out.write(_enc_words(code.g.coeffs))
+    _enc_matrix(sk.q, out)
+    out.write(_enc_words(sk.p.map))
 
 
 def _dec_msk_body(r: _Reader) -> MasterSecretKey:
@@ -318,10 +324,11 @@ def _dec_msk_body(r: _Reader) -> MasterSecretKey:
     return MasterSecretKey(NiedSecretKey(q, code, p))
 
 
-def _enc_usk_body(cred: UserCredential) -> bytes:
+def _enc_usk_body(cred: UserCredential, out: io.BytesIO) -> None:
     usk = cred.usk
     _check_credential(usk, cred.mpk)
-    return struct.pack(">QH", usk.j, usk.w) + _enc_bitvec(usk.s) + _enc_mpk_body(cred.mpk)
+    out.write(struct.pack(">QH", usk.j, usk.w) + _enc_bitvec(usk.s))
+    _enc_mpk_body(cred.mpk, out)
 
 
 def _dec_usk_body(r: _Reader) -> UserCredential:
@@ -333,8 +340,8 @@ def _dec_usk_body(r: _Reader) -> UserCredential:
     return UserCredential(usk, mpk)
 
 
-def _enc_mcfs_body(sig: McfsSignature) -> bytes:
-    return struct.pack(">Q", sig.i) + _enc_bitvec(sig.x)
+def _enc_mcfs_body(sig: McfsSignature, out: io.BytesIO) -> None:
+    out.write(struct.pack(">Q", sig.i) + _enc_bitvec(sig.x))
 
 
 def _dec_mcfs_body(r: _Reader) -> McfsSignature:
@@ -342,15 +349,17 @@ def _dec_mcfs_body(r: _Reader) -> McfsSignature:
     return McfsSignature(i, _dec_bitvec(r))
 
 
-def _enc_ibs_body(sig: IbsSignature) -> bytes:
+def _enc_ibs_body(sig: IbsSignature, out: io.BytesIO) -> None:
+    """Written a part at a time, so only one response's bytes exist apart from out."""
     k = len(sig.commitments)
     _check_round_count(k, 1)
     if len(sig.challenges) != k or len(sig.responses) != k:
         raise MalformedEnvelope("signature arrays disagree on the round count")
-    resps = list(map(encode_response_payload, map(_check_round, sig.challenges, sig.responses)))
-    head = struct.pack(">QHI", sig.j, sig.w, k)
-    coms = [com.to_bytes() for com in sig.commitments]
-    return b"".join([head, *coms, bytes(sig.challenges), *resps])
+    resps = list(map(_check_round, sig.challenges, sig.responses))
+    out.write(struct.pack(">QHI", sig.j, sig.w, k))
+    out.writelines(com.to_bytes() for com in sig.commitments)
+    out.write(bytes(sig.challenges))
+    out.writelines(map(encode_response_payload, resps))
 
 
 def _dec_ibs_body(r: _Reader) -> IbsSignature:
@@ -362,15 +371,14 @@ def _dec_ibs_body(r: _Reader) -> IbsSignature:
     return IbsSignature(j, w, coms, chs, resps)
 
 
-def _enc_transcript_body(tr: IbiTranscript) -> bytes:
+def _enc_transcript_body(tr: IbiTranscript, out: io.BytesIO) -> None:
     _check_round_count(len(tr.rounds), 0)
     _check_verdict(tr.accepted, [rt.accepted for rt in tr.rounds])
-    head = struct.pack(">BI", bool(tr.accepted), len(tr.rounds))
-    out = [_hello_payload(tr.identity, tr.j, tr.w), head]
+    out.write(_hello_payload(tr.identity, tr.j, tr.w))
+    out.write(struct.pack(">BI", bool(tr.accepted), len(tr.rounds)))
     for rt in tr.rounds:
         resp = encode_response_payload(_check_round(rt.challenge, rt.response))
-        out += [rt.commitments.to_bytes(), bytes([rt.challenge]), resp, bytes([bool(rt.accepted)])]
-    return b"".join(out)
+        out.writelines((rt.commitments.to_bytes(), bytes([rt.challenge]), resp, bytes([bool(rt.accepted)])))
 
 
 def _dec_transcript_body(r: _Reader) -> IbiTranscript:
@@ -392,8 +400,8 @@ def _dec_transcript_body(r: _Reader) -> IbiTranscript:
     return IbiTranscript(identity, j, w, bool(accepted), tuple(rounds))
 
 
-def _enc_params_body(p: CodeParams) -> bytes:
-    return struct.pack(">BIH", p.m, p.modulus, p.t)
+def _enc_params_body(p: CodeParams, out: io.BytesIO) -> None:
+    out.write(struct.pack(">BIH", p.m, p.modulus, p.t))
 
 
 def _dec_params_body(r: _Reader) -> CodeParams:
@@ -419,11 +427,18 @@ def encode(value, kind: int | None = None) -> bytes:
         raise MalformedEnvelope(f"no envelope kind for {type(value).__name__}")
     if kind is not None and kind != actual:
         raise MalformedEnvelope(f"value is kind {actual:#x}, not {kind:#x}")
+    # the body is streamed in after room for the header, which goes in last, once
+    # its length is known: one buffer holds the envelope, and no copy of the body
+    out = io.BytesIO()
+    out.seek(_HEADER_SIZE)
     try:
-        body = _KINDS[actual][1](value)
+        _KINDS[actual][1](value, out)
     except struct.error as e:
         raise MalformedEnvelope(f"field out of range: {e}") from e
-    return struct.pack(">4sBBQ", MAGIC, VERSION, actual, len(body)) + body
+    body_len = out.tell() - _HEADER_SIZE
+    out.seek(0)
+    out.write(struct.pack(_HEADER, MAGIC, VERSION, actual, body_len))
+    return out.getvalue()
 
 
 def decode(data: bytes, expect: int | None = None):

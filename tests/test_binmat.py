@@ -170,6 +170,19 @@ def test_random_permutation_uniformity():
         assert 850 <= c <= 1150
 
 
+def test_random_permutation_replays_shuffle_and_its_rng_state():
+    # the bulk draw takes the same 32-bit words as shuffle's _randbelow, no more
+    for n in (1, 2, 3, 4, 5, 7, 8, 9, 100, 4096, 4097):
+        for seed in (0, 1, 2, 43, 2**40 + 7):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            images = list(range(n))
+            theirs.shuffle(images)
+            assert random_permutation(n, ours).map == tuple(images), (n, seed)
+            assert ours.getstate() == theirs.getstate(), (n, seed)
+    drawn = random_permutation(4096, random.SystemRandom())
+    assert sorted(drawn.map) == list(range(4096))
+
+
 def test_apply_permutation():
     rng = random.Random(19)
     n = 40

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -785,3 +786,19 @@ def test_msk_encoder_refuses_what_its_decoder_refuses(system):
         with pytest.raises(MalformedEnvelope):
             encode(MasterSecretKey(bad))
     assert msk_fields(decode(encode(system["msk"]))) == msk_fields(system["msk"])
+
+
+def test_encoding_a_signature_holds_one_copy_of_its_envelope():
+    # a (10,3) 280-round envelope is about 445 kB; a body joined from a list of
+    # its parts, and then copied once more behind the header, peaked at 2.2 times that
+    mpk, msk = master_keygen(FieldParams(10), 3, 280, random.Random(50))
+    usk = extract_user_key(msk, mpk, b"dana", random.Random(51))
+    sig = ibs_sign(usk, mpk, b"dana", b"memo", random.Random(52))
+    tracemalloc.start()
+    try:
+        blob = encode(sig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decode(blob, KIND_IBS_SIG) == sig
+    assert peak <= 1.3 * len(blob)
