@@ -35,8 +35,11 @@ __all__ = [
     "poly_sqrt_mod",
     "poly_sqrt_split",
     "random_irreducible",
+    "sliced_ext_gcd",
     "sliced_inv",
     "sliced_mul",
+    "sliced_splits",
+    "sliced_sqr",
 ]
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
@@ -132,7 +135,7 @@ class FieldParams:
     (see sliced_mul).
     """
 
-    __slots__ = ("m", "modulus", "order", "exp", "log", "points")
+    __slots__ = ("m", "modulus", "order", "exp", "log", "points", "taps")
 
     def __init__(self, m: int, modulus: int | None = None):
         if not 1 <= m <= 16:
@@ -146,6 +149,7 @@ class FieldParams:
         self.order = (1 << m) - 1
         self.exp, self.log = _log_tables(m, modulus)
         self.points = _point_planes(m)
+        self.taps = [j for j in range(m) if modulus >> j & 1]  # the modulus below z^m
 
     def __repr__(self):
         return f"FieldParams(m={self.m}, modulus={self.modulus:#x})"
@@ -296,14 +300,29 @@ def sliced_mul(a: list[int], b: list[int], p: FieldParams) -> list[int]:
     prod = [0] * (2 * m - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] ^= ai & bj
-    taps = [j for j in range(m) if p.modulus >> j & 1]
+            k = i
+            for bj in b:
+                prod[k] ^= ai & bj
+                k += 1
+    return _sliced_fold(prod, p)
+
+
+def _sliced_fold(prod: list[int], p: FieldParams) -> list[int]:
+    """Reduce 2m - 1 planes of an unreduced product to m, by the modulus taps."""
+    m, taps = p.m, p.taps
     for k in range(2 * m - 2, m - 1, -1):
         v = prod[k]
         for j in taps:
             prod[k - m + j] ^= v
     return prod[:m]
+
+
+def sliced_sqr(a: list[int], p: FieldParams) -> list[int]:
+    """Square at every position of a bit-sliced vector: in characteristic 2,
+    plane k of a moves to plane 2k, and the product folds as in sliced_mul."""
+    prod = [0] * (2 * p.m - 1)
+    prod[::2] = a
+    return _sliced_fold(prod, p)
 
 
 def sliced_inv(a: list[int], p: FieldParams) -> list[int]:
@@ -345,6 +364,94 @@ def poly_roots(f: Gf2mPoly, p: FieldParams) -> list[int]:
         roots.append(low.bit_length() - 1)
         zeros ^= low
     return roots
+
+
+# A lane polynomial is one polynomial in each of many lanes: a list of
+# bit-sliced coefficients, low first, whose bit l of plane k is bit k of
+# lane l's coefficient.  Its degree is its length less one in every lane
+# on the generic path, where no leading coefficient is 0.
+
+
+def _lane_nonzero(a: list[int]) -> int:
+    """Mask of the lanes where the bit-sliced element a is not 0."""
+    acc = 0
+    for v in a:
+        acc |= v
+    return acc
+
+
+def _lane_add(f: list, g: list) -> list:
+    if len(f) < len(g):
+        f, g = g, f
+    return [[x ^ y for x, y in zip(c, d)] for c, d in zip(f, g)] + f[len(g):]
+
+
+def _lane_scale(c: list[int], f: list, p: FieldParams) -> list:
+    return [sliced_mul(c, x, p) for x in f]
+
+
+def sliced_ext_gcd(a: list, b: list, stop_deg: int, ones: int, p: FieldParams):
+    """poly_ext_gcd(a, b, stop_deg) in every lane of ones at once, on the generic path.
+
+    a and b are lane polynomials of degrees len(a) - 1 and len(a) - 2, and
+    a's leading coefficient is nonzero in every lane.  While each
+    remainder is one degree below the one before, one fraction-free step
+    makes the next with no inverse: for leading coefficients la of r and
+    lb of r', x = lb*r + la*z*r' drops a degree and lb*x + x_d*r' another,
+    which is lb^2 times r mod r'.  Returns (r, v, generic): the first
+    remainder with degree <= stop_deg and its cofactor v of b, both
+    times one nonzero field element in each lane, and the mask of lanes
+    on the generic path, where b's and every later leading coefficient
+    is nonzero.  In the other lanes r and v mean nothing.
+    """
+    zero = [0] * p.m
+    generic = _lane_nonzero(b[-1])
+    (r0, v0), (r1, v1) = (a, []), (b, [[ones] + zero[1:]])
+    while len(r1) - 1 > stop_deg:
+        la, lb = r0[-1], r1[-1]
+        x = _lane_add(_lane_scale(lb, r0[:-1], p), [zero] + _lane_scale(la, r1[:-1], p))
+        vx = _lane_add(_lane_scale(lb, v0, p), [zero] + _lane_scale(la, v1, p))
+        xd = x[-1]
+        r2 = _lane_add(_lane_scale(lb, x[:-1], p), _lane_scale(xd, r1[:-1], p))
+        v2 = _lane_add(_lane_scale(lb, vx, p), _lane_scale(xd, v1, p))
+        generic &= _lane_nonzero(r2[-1])
+        (r0, v0), (r1, v1) = (r1, v1), (r2, v2)
+    return r1, v1, generic
+
+
+def sliced_splits(sigma: list, ones: int, p: FieldParams) -> int:
+    """Mask of the lanes of ones where sigma divides z^(2^m) - z.
+
+    That is, where sigma splits into distinct linear factors over
+    GF(2^m): the split test of Landais and Sendrier (INDOCRYPT 2012), in
+    place of a search over all 2^m points.  sigma is a lane polynomial of
+    degree t = len(sigma) - 1 >= 2 whose leading coefficient is nonzero
+    in the lanes that matter.  z^(2^k) for the largest 2^k < t is already
+    reduced, and m - k squarings mod sigma take it to z^(2^m).  A
+    squaring is sum h_i^2 z^(2i), so it reads z^(2i) mod sigma for the
+    2i >= t from a table made once.
+    """
+    m, t = p.m, len(sigma) - 1
+    zero, one = [0] * m, [ones] + [0] * (m - 1)
+    inv = sliced_inv(sigma[-1], p)
+    high = [_lane_scale(inv, sigma[:-1], p)]  # high[i] = z^(t+i) mod sigma
+    for _ in range(t - 2):
+        prev = high[-1]
+        high.append(_lane_add([zero] + prev[:-1], _lane_scale(prev[-1], high[0], p)))
+    k = (t - 1).bit_length() - 1
+    h = [zero] * t
+    h[1 << k] = one
+    for _ in range(m - k):
+        sq = [zero] * t
+        for i, c in enumerate(h):
+            c = sliced_sqr(c, p)
+            if 2 * i < t:
+                sq[2 * i] = c  # ahead of every table row
+            else:
+                sq = _lane_add(sq, _lane_scale(c, high[2 * i - t], p))
+        h = sq
+    h[1] = [h[1][0] ^ ones] + h[1][1:]  # z^(2^m) - z
+    return ones & ~_lane_nonzero([v for c in h for v in c])
 
 
 def poly_ext_gcd(a: Gf2mPoly, b: Gf2mPoly, stop_deg, p: FieldParams):

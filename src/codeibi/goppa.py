@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .binmat import BitMatrix, BitVector, mat_rank, mat_vec_mul
+from .binmat import BitMatrix, BitVector, mat_mul, mat_rank, mat_vec_mul
 from .errors import DimensionMismatch, ParameterError, Undecodable
 from .gf2m import (
     POLY_Z,
@@ -27,8 +27,11 @@ from .gf2m import (
     poly_sqrt_mod,
     poly_sqrt_split,
     random_irreducible,
+    sliced_ext_gcd,
     sliced_inv,
     sliced_mul,
+    sliced_splits,
+    sliced_sqr,
 )
 
 __all__ = [
@@ -37,6 +40,7 @@ __all__ = [
     "build_goppa",
     "code_from_poly",
     "patterson_decode",
+    "patterson_screen",
     "syndrome_bits",
     "syndrome_poly",
 ]
@@ -45,7 +49,7 @@ __all__ = [
 class GoppaCode:
     """[n, k] binary Goppa code determined by (field, t, g)."""
 
-    __slots__ = ("params", "t", "support", "g", "H_bin", "n", "k", "_sqrt_z")
+    __slots__ = ("params", "t", "support", "g", "H_bin", "n", "k", "_sqrt_z", "_lane_maps")
 
     def __init__(self, params: FieldParams, t: int, g: Gf2mPoly, H_bin: BitMatrix):
         self.params = params
@@ -56,6 +60,7 @@ class GoppaCode:
         self.g = g
         self.H_bin = H_bin
         self._sqrt_z = None
+        self._lane_maps = None
 
     @property
     def sqrt_z(self) -> Gf2mPoly:
@@ -63,6 +68,34 @@ class GoppaCode:
         if self._sqrt_z is None:
             self._sqrt_z = poly_sqrt_mod(POLY_Z, self.g, self.params)
         return self._sqrt_z
+
+    @property
+    def lane_maps(self) -> tuple:
+        """syndrome_poly and the square root mod g as m*t x m*t GF(2) matrices.
+
+        Both maps are GF(2)-linear.  A polynomial of degree < t packs into
+        m*t bits, coefficient i at bits i*m .. i*m + m - 1, so its bit-sliced
+        coefficients are m*t planes in that order, and each map is a
+        product of the matrix with the planes.  Made on first use, from
+        the scalar functions themselves.
+        """
+        if self._lane_maps is None:
+            p, t = self.params, self.t
+            r, mask = p.m * t, (1 << p.m) - 1
+
+            def pack(f: Gf2mPoly) -> int:
+                return sum(c << (i * p.m) for i, c in enumerate(f.coeffs))
+
+            def matrix(f) -> BitMatrix:
+                images = BitMatrix(r, r, [pack(f(1 << j)) for j in range(r)])
+                return BitMatrix(r, r, [images.column_int(i) for i in range(r)])
+
+            self._lane_maps = (
+                matrix(lambda bits: syndrome_poly(self, BitVector(r, bits))),
+                matrix(lambda bits: poly_sqrt_split(
+                    Gf2mPoly([bits >> (i * p.m) & mask for i in range(t)]), self.sqrt_z, self.g, p)),
+            )
+        return self._lane_maps
 
     def __repr__(self):
         return f"GoppaCode(m={self.params.m}, t={self.t}, n={self.n}, k={self.k})"
@@ -202,3 +235,38 @@ def patterson_decode(code: GoppaCode, s: BitVector) -> BitVector:
     if binary_syndrome(code, e) != s:
         raise Undecodable("recomputed syndrome mismatch", "syndrome mismatch")
     return e
+
+
+def patterson_screen(code: GoppaCode, planes, ones: int) -> int:
+    """The lanes whose syndrome patterson_decode may accept, from one bit-sliced pass.
+
+    Bit l of planes[j] is bit j of lane l's syndrome, for each lane set
+    in ones.  Patterson runs straight through in every lane at once, on
+    the generic path where each Euclid step lowers the degree by one
+    (gf2m.sliced_ext_gcd), and the locator gets the split test in place
+    of the root search.  The result marks every lane that left the
+    generic path, where S or a leading coefficient in either Euclid is
+    0, and every lane whose locator splits.  On every other lane the
+    locator is the scalar one times a nonzero constant, so it does not
+    split either, and patterson_decode raises Undecodable.
+    """
+    p, t, m = code.params, code.t, code.params.m
+    r, lanes = m * t, ones.bit_length()
+    to_syndrome, to_sqrt = code.lane_maps
+
+    def coeffs(rows) -> list:
+        return [rows[i * m : (i + 1) * m] for i in range(t)]
+
+    g = [[ones if c >> k & 1 else 0 for k in range(m)] for c in code.g.coeffs]
+    S = coeffs(mat_mul(to_syndrome, BitMatrix(r, lanes, planes)).rows)
+    rem, v, generic = sliced_ext_gcd(g, S, 0, ones, p)
+    inv = sliced_inv(rem[0], p)
+    T = [sliced_mul(inv, c, p) for c in v]  # S^-1 mod g
+    T[1][0] ^= ones  # T + z
+    R = coeffs(mat_mul(to_sqrt, BitMatrix(r, lanes, [x for c in T for x in c])).rows)
+    a, b, still = sliced_ext_gcd(g, R, t // 2, ones, p)
+    generic &= still
+    sigma = [None] * (t + 1)
+    sigma[0::2] = [sliced_sqr(c, p) for c in a]
+    sigma[1::2] = [sliced_sqr(c, p) for c in b]
+    return (ones ^ generic) | (generic & sliced_splits(sigma, ones, p))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .binmat import BitVector, mat_vec_mul
 from .errors import ParameterError, RangeError, RetryLimitExceeded, Undecodable
-from .niederreiter import NiedPublicKey, NiedSecretKey, nied_decrypt
+from .niederreiter import NiedPublicKey, NiedSecretKey, nied_decrypt, nied_screen
 
 __all__ = [
     "MAX_SYNDROME_BITS",
@@ -27,6 +27,15 @@ __all__ = [
 
 DOMAIN_SYNDROME = 0x01  # domain separator for message-to-syndrome hashing
 MAX_SYNDROME_BITS = 256  # one SHA-256 digest
+MAX_LANES = 4096  # counters screened in one bit-sliced pass
+MIN_LANES = 48  # below this, one counter at a time is faster
+
+
+def _lanes(t: int, left: int) -> int:
+    """Counters in the next batch: about two keys' worth, 2*t!, capped by the
+    attempts left; a batch too small to repay its fixed cost is one counter."""
+    lanes = min(2 * math.factorial(t), MAX_LANES, left)
+    return lanes if lanes >= MIN_LANES else 1
 
 
 def counter_max(bits: int) -> int:
@@ -64,19 +73,44 @@ def mcfs_sign(
     rng: random.Random,
     retry_cap: int | None = None,
 ) -> McfsSignature:
-    """Draw counters until the hashed syndrome decodes; sign with the preimage."""
+    """Draw counters until the hashed syndrome decodes; sign with the preimage.
+
+    Counters are drawn in batches, as many as _lanes gives.  One
+    bit-sliced pass, niederreiter.nied_screen, decodes a batch across
+    its lanes and keeps only the counters that nied_decrypt may accept.
+    nied_decrypt then tries those in draw order, and the first it
+    decodes wins.  Every counter the screen drops would have raised
+    Undecodable, so the winner, its preimage and its attempt number are
+    those of drawing and decoding one counter at a time.  Before a batch
+    the rng state is saved; after a win it is restored and the counters
+    up to the winner are drawn again, so the rng is left where the
+    one-at-a-time loop leaves it.  SystemRandom has no state to keep.
+    """
     bits = sk.code.n - sk.code.k
     top = counter_max(bits)
     if retry_cap is None:
         retry_cap = 1000 * math.factorial(sk.code.t)
-    for attempt in range(1, retry_cap + 1):
-        i = rng.randrange(1, top + 1)
-        syn = hash_to_syndrome(bits, msg, i)
-        try:
-            x = nied_decrypt(sk, syn)
-        except Undecodable:
-            continue
-        return McfsSignature(i, x, attempt)
+    drawn = 0
+    while drawn < retry_cap:
+        lanes = _lanes(sk.code.t, retry_cap - drawn)
+        saved = rng.getstate() if lanes > 1 and not isinstance(rng, random.SystemRandom) else None
+        counters = [rng.randrange(1, top + 1) for _ in range(lanes)]
+        syns = [hash_to_syndrome(bits, msg, i) for i in counters]
+        candidates = nied_screen(sk, syns) if lanes > 1 else 1
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            lane = low.bit_length() - 1
+            try:
+                x = nied_decrypt(sk, syns[lane])
+            except Undecodable:
+                continue
+            if saved is not None:
+                rng.setstate(saved)
+                for _ in range(lane + 1):
+                    rng.randrange(1, top + 1)
+            return McfsSignature(counters[lane], x, drawn + lane + 1)
+        drawn += lanes
     raise RetryLimitExceeded(f"no decodable syndrome in {retry_cap} attempts")
 
 

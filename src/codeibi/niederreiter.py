@@ -23,9 +23,9 @@ from .binmat import (
 )
 from .errors import DimensionMismatch, WeightError
 from .gf2m import FieldParams
-from .goppa import GoppaCode, build_goppa, patterson_decode
+from .goppa import GoppaCode, build_goppa, patterson_decode, patterson_screen
 
-__all__ = ["NiedPublicKey", "NiedSecretKey", "nied_decrypt", "nied_encrypt", "nied_keygen"]
+__all__ = ["NiedPublicKey", "NiedSecretKey", "nied_decrypt", "nied_encrypt", "nied_keygen", "nied_screen"]
 
 
 @dataclass(frozen=True)
@@ -99,3 +99,21 @@ def nied_decrypt(sk: NiedSecretKey, y: BitVector) -> BitVector:
     inner = mat_vec_mul(sk.q_inv, y)
     e = patterson_decode(sk.code, inner)
     return apply_inverse_permutation(sk.p, e)
+
+
+def nied_screen(sk: NiedSecretKey, ys: list[BitVector]) -> int:
+    """Mask of the ciphertexts in ys that nied_decrypt may accept; bit l is ys[l].
+
+    The ciphertexts are transposed into r bit planes, one lane each; Q^-1
+    then acts on the planes as XORs of planes, and goppa.patterson_screen
+    decodes every lane at once.  nied_decrypt raises Undecodable on each
+    ciphertext left out of the mask.
+    """
+    r = sk.code.n - sk.code.k
+    if any(y.n != r for y in ys):
+        raise DimensionMismatch(f"ciphertext length other than {r}")
+    # column j of the strings, read with the last ciphertext first, is plane r - 1 - j
+    cols = zip(*[format(y.bits, f"0{r}b") for y in reversed(ys)])
+    planes = [int("".join(c), 2) for c in cols][::-1]
+    inner = mat_mul(sk.q_inv, BitMatrix(r, len(ys), planes))
+    return patterson_screen(sk.code, inner.rows, (1 << len(ys)) - 1)

@@ -258,9 +258,14 @@ def _check_public_key(m: int, t: int, h: BitMatrix) -> None:
 
 
 def _check_secret_key(m: int, t: int, q: BitMatrix, p: Permutation) -> None:
-    """Q and P of an (m, t) code: Q is m*t square and P acts on 2^m points."""
+    """Q and P of an (m, t) code: Q is m*t square and P acts on 2^m points.
+
+    No mpk has a syndrome longer than one hash, so no usable msk does either.
+    """
     if q.nrows != m * t or q.ncols != m * t or p.n != 1 << m:
         raise MalformedEnvelope("secret key dimensions are inconsistent")
+    if m * t > MAX_SYNDROME_BITS:
+        raise MalformedEnvelope(f"m*t={m * t} exceeds the {MAX_SYNDROME_BITS}-bit syndrome")
 
 
 def _hello_payload(identity: bytes, j: int, w: int) -> bytes:
@@ -315,11 +320,7 @@ def _dec_msk_body(r: _Reader) -> MasterSecretKey:
         raise MalformedEnvelope("non-normalized polynomial")
     q = _dec_matrix(r)
     p = Permutation(_dec_words(r))
-    # checked before code_from_poly, whose irreducibility test grows with t;
-    # no mpk has a syndrome longer than one hash, so no usable msk does either
-    _check_secret_key(m, t, q, p)
-    if m * t > MAX_SYNDROME_BITS:
-        raise MalformedEnvelope(f"m*t={m * t} exceeds the {MAX_SYNDROME_BITS}-bit syndrome")
+    _check_secret_key(m, t, q, p)  # before code_from_poly, whose irreducibility test grows with t
     code = code_from_poly(FieldParams(m, modulus), t, Gf2mPoly(coeffs))
     return MasterSecretKey(NiedSecretKey(q, code, p))
 
@@ -455,10 +456,15 @@ def decode(data: bytes, expect: int | None = None):
     if expect is not None and kind != expect:
         raise MalformedEnvelope(f"expected kind {expect:#x}, found {kind:#x}")
     (body_len,) = r.unpack(">Q")
-    body = r.take(body_len)
-    r.expect_end()
+    # the body is parsed where it lies, not copied out of the envelope first
+    if body_len > len(data) - r.pos:
+        raise TruncatedInput(f"wanted {body_len} bytes at offset {r.pos}")
+    if body_len < len(data) - r.pos:
+        raise MalformedEnvelope(f"{len(data) - r.pos - body_len} trailing bytes")
     try:
-        return _parse(body, _KINDS[kind][2])
+        value = _KINDS[kind][2](r)
+        r.expect_end()
+        return value
     except (TruncatedInput, MalformedEnvelope, VersionMismatch):
         raise
     except CodeIbiError as e:
@@ -736,8 +742,9 @@ def _cmd_ibs_sign(args) -> int:
     msg = Path(args.msg_file).read_bytes()
     rng = _make_rng(args.seed)
     sig = ibs_sign(cred.usk, mpk, args.id.encode(), msg, rng)
-    write_envelope(args.out, sig)
-    _print_kv([("rounds", len(sig.commitments)), ("bytes", len(encode(sig))), ("sig", args.out)])
+    blob = encode(sig)
+    Path(args.out).write_bytes(blob)
+    _print_kv([("rounds", len(sig.commitments)), ("bytes", len(blob)), ("sig", args.out)])
     return 0
 
 

@@ -26,8 +26,11 @@ from codeibi import (
     poly_sqrt_mod,
     poly_sqrt_split,
     random_irreducible,
+    sliced_ext_gcd,
     sliced_inv,
     sliced_mul,
+    sliced_splits,
+    sliced_sqr,
 )
 
 
@@ -331,6 +334,64 @@ def test_sliced_arithmetic_matches_per_point():
         assert _unslice(sliced_inv(planes, p), n) == inv
         prod = [field_mul(v, x, p) for x, v in enumerate(values)]
         assert _unslice(sliced_mul(planes, p.points, p), n) == prod
+
+
+def _to_lanes(polys, m):
+    """One lane polynomial holding polys[l] in lane l; all have the same length."""
+    return [[sum((f[i] >> k & 1) << l for l, f in enumerate(polys)) for k in range(m)]
+            for i in range(len(polys[0]))]
+
+
+def _lane(f, l, m):
+    return Gf2mPoly([sum((c[k] >> l & 1) << k for k in range(m)) for c in f])
+
+
+def test_sliced_square_matches_product():
+    rng = random.Random(51)
+    for m in (1, 5, 12, 16):
+        p = FieldParams(m)
+        a = [rng.getrandbits(70) for _ in range(m)]
+        assert sliced_sqr(a, p) == sliced_mul(a, a, p)
+
+
+def test_sliced_ext_gcd_matches_scalar_up_to_one_constant():
+    rng = random.Random(52)
+    for m, d, stop in ((4, 3, 0), (8, 5, 0), (8, 5, 2), (12, 4, 2), (12, 1, 0)):
+        p = FieldParams(m)
+        size = 1 << m
+        pairs = [([rng.randrange(size) for _ in range(d + 1)] + [rng.randrange(1, size)],
+                  [rng.randrange(size) for _ in range(d)] + [rng.randrange(1, size)]) for _ in range(30)]
+        pairs.append((pairs[0][0], pairs[0][1][:-1] + [0]))  # b one degree short: off the generic path
+        ones = (1 << len(pairs)) - 1
+        r, v, generic = sliced_ext_gcd(_to_lanes([a for a, _ in pairs], m),
+                                       _to_lanes([b for _, b in pairs], m), stop, ones, p)
+        assert not generic >> (len(pairs) - 1) & 1
+        assert bin(generic).count("1") >= 20
+        for l, (a, b) in enumerate(pairs):
+            if not generic >> l & 1:
+                continue
+            rs, _, vs = poly_ext_gcd(Gf2mPoly(a), Gf2mPoly(b), stop, p)
+            rl, vl = _lane(r, l, m), _lane(v, l, m)
+            assert rl.degree == rs.degree == stop
+            c = field_mul(rl.coeffs[-1], field_inv(rs.coeffs[-1], p), p)  # rl = c * rs
+            assert rl == poly_mul(Gf2mPoly((c,)), rs, p)
+            assert vl == poly_mul(Gf2mPoly((c,)), vs, p)
+
+
+def test_sliced_split_test_matches_root_count():
+    rng = random.Random(53)
+    for m, t in ((3, 2), (4, 3), (8, 2), (8, 5), (12, 5), (16, 9)):
+        p = FieldParams(m)
+        size = 1 << m
+        polys = [_split_poly(rng.sample(range(size), t), rng.randrange(1, size), p) for _ in range(5)]
+        repeated = rng.sample(range(size), t - 1)
+        polys.append(_split_poly(repeated + repeated[:1], rng.randrange(1, size), p))  # a double root
+        polys += [Gf2mPoly([rng.randrange(size) for _ in range(t)] + [rng.randrange(1, size)]) for _ in range(20)]
+        ones = (1 << len(polys)) - 1
+        mask = sliced_splits(_to_lanes([f.coeffs for f in polys], m), ones, p)
+        for l, f in enumerate(polys):
+            assert (mask >> l & 1) == (len(poly_roots(f, p)) == t)
+        assert mask & 0x1F == 0x1F and not mask >> 5 & 1
 
 
 def test_is_irreducible_against_trial_division():
