@@ -77,12 +77,28 @@ def least_irreducible(m: int) -> int:
     return _LEAST_IRRED_CACHE[m]
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
+    primes, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def _log_tables(m: int, modulus: int):
     """(exp, log) arrays for GF(2^m): exp[i] = gen^i and log[gen^i] = i.
 
     gen is the first of 1, 2, 3, ... whose powers cover all 2^m - 1
-    nonzero elements.  Products and inverses do not depend on which
-    generator is found.
+    nonzero elements: the first whose power (2^m - 1)/q is not 1 for any
+    prime q dividing 2^m - 1.  Products and inverses do not depend on
+    which generator is found.  The walk over gen's powers multiplies by
+    gen through two lookups, of gen times the low and the high byte.
     """
     order = (1 << m) - 1
 
@@ -97,18 +113,27 @@ def _log_tables(m: int, modulus: int):
                 a ^= modulus
         return r
 
+    def raw_pow(a: int, e: int) -> int:
+        r = 1
+        while e:
+            if e & 1:
+                r = raw_mul(r, a)
+            a = raw_mul(a, a)
+            e >>= 1
+        return r
+
+    primes = _prime_factors(order)
+    gen = next(g for g in range(1, 1 << m) if all(raw_pow(g, order // q) != 1 for q in primes))
+    low = [raw_mul(b, gen) for b in range(min(256, 1 << m))]
+    high = [raw_mul(b << 8, gen) for b in range(1 << max(0, m - 8))]
     exp = array("H", bytes(2 * order))
     log = array("H", bytes(2 << m))
-    for gen in range(1, 1 << m):
-        x = 1
-        for i in range(order):
-            exp[i] = x
-            log[x] = i
-            x = raw_mul(x, gen)
-            if x == 1:
-                break
-        if i == order - 1:
-            return exp, log
+    x = 1
+    for i in range(order):
+        exp[i] = x
+        log[x] = i
+        x = low[x & 255] ^ high[x >> 8]
+    return exp, log
 
 
 def _point_planes(m: int) -> list[int]:
@@ -333,16 +358,19 @@ def sliced_inv(a: list[int], p: FieldParams) -> list[int]:
     return sliced_mul(r, r, p)
 
 
-def poly_eval_all(f: Gf2mPoly, p: FieldParams) -> list[int]:
-    """f at all 2^m points at once, bit-sliced: bit i of plane k is bit k of f(i).
+def poly_eval_all(f: Gf2mPoly, p: FieldParams, points: list[int] | None = None) -> list[int]:
+    """f at all 2^m points at once, bit-sliced: bit i of plane k is bit k of f(x_i).
 
-    One Horner step multiplies the running planes by p.points and adds the
-    next coefficient to every point.
+    x_i is the element at position i of the bit-sliced points, by default
+    p.points, where x_i = i.  One Horner step multiplies the running planes
+    by the points and adds the next coefficient to every position.
     """
+    if points is None:
+        points = p.points
     ones = (1 << (1 << p.m)) - 1
     acc = [0] * p.m
     for c in reversed(f.coeffs):
-        acc = sliced_mul(acc, p.points, p)
+        acc = sliced_mul(acc, points, p)
         acc = [v ^ ones if c >> k & 1 else v for k, v in enumerate(acc)]
     return acc
 

@@ -111,16 +111,22 @@ def _check_code_params(m: int, t: int) -> None:
         raise ParameterError(f"m*t={m * t} leaves no code dimension")
 
 
-def _assemble_parity(params: FieldParams, t: int, g: Gf2mPoly) -> BitMatrix:
+def _assemble_parity(
+    params: FieldParams, t: int, g: Gf2mPoly, points: list[int] | None = None
+) -> BitMatrix:
     """GF(2) expansion of the t x n matrix with entries L_i^r / g(L_i).
 
     The entries of each power r are computed bit-sliced, all n at once, so
-    each of their m bit planes is one row as it stands.
+    each of their m bit planes is one row as it stands.  L_i is the element
+    at position i of the bit-sliced points, by default params.points, the
+    code's support; points permuted by P give H_bin @ P.
     """
-    entries = sliced_inv(poly_eval_all(g, params), params)
+    if points is None:
+        points = params.points
+    entries = sliced_inv(poly_eval_all(g, params, points), params)
     rows = list(entries)
     for _ in range(1, t):
-        entries = sliced_mul(entries, params.points, params)
+        entries = sliced_mul(entries, points, params)
         rows += entries
     return BitMatrix(params.m * t, 1 << params.m, rows)
 

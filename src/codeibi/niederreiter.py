@@ -1,7 +1,10 @@
 """Niederreiter trapdoor: syndrome encryption behind a scrambled parity check.
 
 The public matrix is h_tilde = Q @ H_bin @ P for a secret nonsingular Q
-and a secret support permutation P.  Encrypting a weight-t vector means
+and a secret support permutation P.  Column j of H_bin @ P is the parity
+column of the support point P.map[j], so keygen permutes the m bit planes
+of the points and assembles H_bin @ P at the permuted points, in place of
+permuting the m*t rows of H_bin.  Encrypting a weight-t vector means
 publishing its scrambled syndrome; decrypting unscrambles and decodes.
 """
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .binmat import (
 )
 from .errors import DimensionMismatch, WeightError
 from .gf2m import FieldParams
-from .goppa import GoppaCode, build_goppa, patterson_decode, patterson_screen
+from .goppa import GoppaCode, _assemble_parity, build_goppa, patterson_decode, patterson_screen
 
 __all__ = ["NiedPublicKey", "NiedSecretKey", "nied_decrypt", "nied_encrypt", "nied_keygen", "nied_screen"]
 
@@ -75,7 +78,8 @@ def nied_keygen(
         raise DimensionMismatch(f"Q must be {r}x{r}")
     if p.n != code.n:
         raise DimensionMismatch(f"P must act on {code.n} points")
-    h_tilde = mat_mul(q, permute_columns(code.H_bin, p))
+    points = permute_columns(BitMatrix(params.m, code.n, params.points), p).rows
+    h_tilde = mat_mul(q, _assemble_parity(params, t, code.g, points))
     return NiedPublicKey(h_tilde, t), NiedSecretKey(q, code, p)
 
 

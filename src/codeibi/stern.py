@@ -126,9 +126,9 @@ def stern_commit(h: BitMatrix, s: BitVector, rng: random.Random):
     y = BitVector.random(n, rng)
     sigma = random_permutation(n, rng)
     syn_y = mat_vec_mul(h, y)
-    sigma_inv = sigma.inverse()  # one inverse serves both sigma(y) and sigma(s)
-    sig_y = apply_inverse_permutation(sigma_inv, y)
-    sig_s = apply_inverse_permutation(sigma_inv, s)
+    sig_y = apply_inverse_permutation(sigma.inverse(), y)
+    # s is sparse (weight <= t for a prover), so sigma(s) moves its support
+    sig_s = BitVector(n, sum(1 << sigma.map[i] for i in s.support()))
     com = Commitments(
         _commit(encode_perm(sigma), syn_y.to_bytes()),
         _commit(sig_y.to_bytes()),

@@ -97,6 +97,37 @@ def test_every_degree_matches_slow_oracle_and_inverts():
             assert field_mul(a, field_inv(a, p), p) == 1, (m, a)
 
 
+def walk_tables(m, modulus):
+    """exp and log lists from a bit-serial walk over each candidate's powers.
+
+    The first of 1, 2, 3, ... whose walk covers every nonzero element
+    before it returns to 1 is the generator.
+    """
+    order = (1 << m) - 1
+    for gen in range(1, 1 << m):
+        exp, x = [], 1
+        while True:
+            exp.append(x)
+            x = slow_mul(x, gen, m, modulus)
+            if x == 1:
+                break
+        if len(exp) == order:
+            log = [0] * (1 << m)
+            for i, v in enumerate(exp):
+                log[v] = i
+            return exp, log
+
+
+def test_log_tables_match_bit_serial_walk():
+    # under 0x1f, irreducible but not primitive, z has order 5 and 1 + z generates
+    fields = [FieldParams(m) for m in range(1, 17)]
+    fields += [FieldParams(4, 0x1F), FieldParams(4, 0x19), FieldParams(16, 0x1100B)]
+    for p in fields:
+        exp, log = walk_tables(p.m, p.modulus)
+        assert p.exp.typecode == p.log.typecode == "H"
+        assert p.exp.tolist() == exp and p.log.tolist() == log, p
+
+
 def test_field_axioms_randomized():
     rng = random.Random(7)
     for m in (4, 7, 10, 13, 16):
@@ -330,6 +361,9 @@ def test_sliced_arithmetic_matches_per_point():
         planes = poly_eval_all(f, p)
         assert _unslice(planes, n) == values
         assert _unslice(p.points, n) == list(range(n))
+        order = rng.sample(range(n), n)
+        shuffled = [sum((x >> k & 1) << i for i, x in enumerate(order)) for k in range(m)]
+        assert _unslice(poly_eval_all(f, p, shuffled), n) == [values[x] for x in order]
         inv = [field_inv(v, p) if v else 0 for v in values]
         assert _unslice(sliced_inv(planes, p), n) == inv
         prod = [field_mul(v, x, p) for x, v in enumerate(values)]

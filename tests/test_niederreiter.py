@@ -19,6 +19,7 @@ from codeibi import (
     nied_decrypt,
     nied_encrypt,
     nied_keygen,
+    permute_columns,
 )
 
 
@@ -38,6 +39,13 @@ def test_identity_disguise_hook():
     r = 10
     pk, sk = keys(5, 2, 2, q=BitMatrix.identity(r), p=Permutation(tuple(range(32))))
     assert pk.h_tilde == sk.code.H_bin
+
+
+@pytest.mark.parametrize("m,t", [(5, 2), (10, 3), (12, 5), (16, 9)])
+def test_disguise_matches_column_gather_of_h(m, t):
+    # keygen assembles H_bin @ P at the permuted points; gathering every row of H_bin is the reference
+    pk, sk = keys(m, t, 13)
+    assert pk.h_tilde == mat_mul(sk.q, permute_columns(sk.code.H_bin, sk.p))
 
 
 def test_distinct_seeds_distinct_keys():

@@ -14,6 +14,7 @@ from codeibi import (
     apply_permutation,
     draw_challenge,
     encode_perm,
+    gaussian_solve,
     mat_vec_mul,
     nied_keygen,
     rounds_for_security,
@@ -75,6 +76,18 @@ def test_response_contents():
     assert r2.vec == apply_permutation(sigma, y)
     assert r2.vec2 == apply_permutation(sigma, s)
     assert r2.vec2.weight() == s.weight()
+
+
+def test_sigma_of_secret_matches_apply_permutation():
+    # sigma(s) is built from the support of s; weights 0, 1, t, and a dense solved vector
+    h, s, identifier = setup(m=6, t=3, seed=2)
+    n = h.ncols
+    secrets = [BitVector.zeros(n), BitVector.from_support(n, [n - 1]), s, gaussian_solve(h, identifier)]
+    assert [v.weight() for v in secrets[:3]] == [0, 1, 3] and secrets[3].weight() > 3
+    for seed, v in enumerate(secrets):
+        st, _ = stern_commit(h, v, random.Random(40 + seed))
+        assert st.sig_s == apply_permutation(st.sigma, v)
+        assert st.sig_y == apply_permutation(st.sigma, st.y)
 
 
 def test_state_consumed_once():
