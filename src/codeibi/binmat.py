@@ -361,11 +361,13 @@ def _gather(bits: int, n: int, picks) -> int:
 
     One itemgetter over the '0'/'1' string, low bit first; a lone pick is a
     bare character, which join passes through, and no picks gather nothing.
+    int() sizes its result by the string's length, so the leading zeros are
+    stripped first: a sparse result then holds only the digits it needs.
     """
     if not picks:
         return 0
     pick = operator.itemgetter(*picks)
-    return int("".join(pick(format(bits, f"0{n}b")[::-1]))[::-1], 2)
+    return int("".join(pick(format(bits, f"0{n}b")[::-1]))[::-1].lstrip("0") or "0", 2)
 
 
 def apply_permutation(perm: Permutation, v: BitVector) -> BitVector:

@@ -351,11 +351,23 @@ def sliced_sqr(a: list[int], p: FieldParams) -> list[int]:
 
 
 def sliced_inv(a: list[int], p: FieldParams) -> list[int]:
-    """Inverse at every position of a bit-sliced vector (0 stays 0): a^(2^m - 2)."""
-    r = a
-    for _ in range(p.m - 2):
-        r = sliced_mul(sliced_mul(r, r, p), a, p)  # a^(2^(k+1) - 1) from a^(2^k - 1)
-    return sliced_mul(r, r, p)
+    """Inverse at every position of a bit-sliced vector (0 stays 0): a^(2^m - 2).
+
+    That is the square of a^(2^(m-1) - 1), which the Itoh-Tsujii chain
+    (Inform. & Comput. 1988) reaches from r = a^(2^k - 1) = a along the
+    bits of m - 1: r^(2^k) * r is a^(2^(2k) - 1), and r^2 * a is
+    a^(2^(k+1) - 1).  Squarings are sliced_sqr, so only the chain's
+    steps are products: 5 at m = 12, 6 at m = 16, none at m <= 2.
+    """
+    r, k = a, 1
+    for bit in f"{p.m - 1:b}"[1:]:
+        s = r
+        for _ in range(k):
+            s = sliced_sqr(s, p)
+        r, k = sliced_mul(s, r, p), 2 * k
+        if bit == "1":
+            r, k = sliced_mul(sliced_sqr(r, p), a, p), k + 1
+    return sliced_sqr(r, p)
 
 
 def poly_eval_all(f: Gf2mPoly, p: FieldParams, points: list[int] | None = None) -> list[int]:
@@ -394,10 +406,50 @@ def poly_roots(f: Gf2mPoly, p: FieldParams) -> list[int]:
     return roots
 
 
-# A lane polynomial is one polynomial in each of many lanes: a list of
-# bit-sliced coefficients, low first, whose bit l of plane k is bit k of
-# lane l's coefficient.  Its degree is its length less one in every lane
-# on the generic path, where no leading coefficient is 0.
+# A lane polynomial is one polynomial in each of many lanes.  In list form
+# it is a list of bit-sliced coefficients, low first, whose bit l of plane k
+# is bit k of lane l's coefficient.  Packed, it is m ints, one per plane:
+# slot i of plane k, bits i*w .. i*w + w - 1, holds plane k of coefficient
+# i, where the slot width w is the lane count rounded up to a whole byte.
+# Adding is m XORs, multiplying by z is m shifts by w, and scaling by one
+# coefficient is one sliced_mul, with the coefficient repeated in every
+# slot; sliced_sqr works plane by plane, so it squares every coefficient.
+# Its degree is the same in every lane on the generic path, where no
+# leading coefficient is 0.
+
+
+def _lane_width(ones: int) -> int:
+    """Slot width of a packed lane polynomial over the lanes of ones."""
+    return max(8, -(-ones.bit_length() // 8) * 8)
+
+
+def _lane_pack(f: list, w: int) -> list[int]:
+    """A list-form lane polynomial, packed in slots of width w."""
+    packed = []
+    for k in range(len(f[0])):
+        acc = 0
+        for c in reversed(f):
+            acc = acc << w | c[k]
+        packed.append(acc)
+    return packed
+
+
+def _lane_coeff(f: list[int], i: int, w: int) -> list[int]:
+    """Coefficient i of a packed lane polynomial, a bit-sliced element."""
+    mask = (1 << w) - 1
+    return [v >> (i * w) & mask for v in f]
+
+
+def _lane_unpack(f: list[int], n: int, w: int) -> list:
+    """The first n coefficients of a packed lane polynomial, in list form."""
+    return [_lane_coeff(f, i, w) for i in range(n)]
+
+
+def _lane_spread(c: list[int], slots: int, w: int) -> list[int]:
+    """The bit-sliced element c in each of slots slots of width w: sliced_mul
+    by it scales a packed lane polynomial of up to slots coefficients by c."""
+    size = w // 8
+    return [int.from_bytes(v.to_bytes(size, "little") * slots, "little") for v in c]
 
 
 def _lane_nonzero(a: list[int]) -> int:
@@ -406,16 +458,6 @@ def _lane_nonzero(a: list[int]) -> int:
     for v in a:
         acc |= v
     return acc
-
-
-def _lane_add(f: list, g: list) -> list:
-    if len(f) < len(g):
-        f, g = g, f
-    return [[x ^ y for x, y in zip(c, d)] for c, d in zip(f, g)] + f[len(g):]
-
-
-def _lane_scale(c: list[int], f: list, p: FieldParams) -> list:
-    return [sliced_mul(c, x, p) for x in f]
 
 
 def sliced_ext_gcd(a: list, b: list, stop_deg: int, ones: int, p: FieldParams):
@@ -430,21 +472,31 @@ def sliced_ext_gcd(a: list, b: list, stop_deg: int, ones: int, p: FieldParams):
     remainder with degree <= stop_deg and its cofactor v of b, both
     times one nonzero field element in each lane, and the mask of lanes
     on the generic path, where b's and every later leading coefficient
-    is nonzero.  In the other lanes r and v mean nothing.
+    is nonzero.  In the other lanes r and v mean nothing.  The steps run
+    packed, each remainder in slots 0 .. n - 1 and its cofactor from slot
+    n up, so one product scales both and a step is four products.
     """
-    zero = [0] * p.m
+    w, n = _lane_width(ones), len(a)
+    d, slots = n - 2, 2 * n
     generic = _lane_nonzero(b[-1])
-    (r0, v0), (r1, v1) = (a, []), (b, [[ones] + zero[1:]])
-    while len(r1) - 1 > stop_deg:
-        la, lb = r0[-1], r1[-1]
-        x = _lane_add(_lane_scale(lb, r0[:-1], p), [zero] + _lane_scale(la, r1[:-1], p))
-        vx = _lane_add(_lane_scale(lb, v0, p), [zero] + _lane_scale(la, v1, p))
-        xd = x[-1]
-        r2 = _lane_add(_lane_scale(lb, x[:-1], p), _lane_scale(xd, r1[:-1], p))
-        v2 = _lane_add(_lane_scale(lb, vx, p), _lane_scale(xd, v1, p))
-        generic &= _lane_nonzero(r2[-1])
-        (r0, v0), (r1, v1) = (r1, v1), (r2, v2)
-    return r1, v1, generic
+    la = _lane_spread(a[-1], slots, w)
+    r0 = _lane_pack(a[:-1], w)  # the leading term is dropped before every product
+    r1 = _lane_pack(b, w)
+    r1[0] |= ones << (n * w)  # v = 1
+    while d > stop_deg:
+        lead = _lane_coeff(r1, d, w)
+        lb = _lane_spread(lead, slots, w)
+        r1 = [x ^ y << (d * w) for x, y in zip(r1, lead)]
+        x = [u ^ v for u, v in zip(sliced_mul(lb, r0, p), sliced_mul(la, [v << w for v in r1], p))]
+        lead = _lane_coeff(x, d, w)
+        x = [u ^ v << (d * w) for u, v in zip(x, lead)]
+        xd = _lane_spread(lead, slots, w)
+        r2 = [u ^ v for u, v in zip(sliced_mul(lb, x, p), sliced_mul(xd, r1, p))]
+        d -= 1
+        generic &= _lane_nonzero(_lane_coeff(r2, d, w))
+        r0, r1, la = r1, r2, lb
+    v = [x >> (n * w) for x in r1]
+    return _lane_unpack(r1, d + 1, w), _lane_unpack(v, n - 1 - d, w), generic
 
 
 def sliced_splits(sigma: list, ones: int, p: FieldParams) -> int:
@@ -456,30 +508,31 @@ def sliced_splits(sigma: list, ones: int, p: FieldParams) -> int:
     degree t = len(sigma) - 1 >= 2 whose leading coefficient is nonzero
     in the lanes that matter.  z^(2^k) for the largest 2^k < t is already
     reduced, and m - k squarings mod sigma take it to z^(2^m).  A
-    squaring is sum h_i^2 z^(2i), so it reads z^(2i) mod sigma for the
-    2i >= t from a table made once.
+    squaring is sum h_i^2 z^(2i): one sliced_sqr of the packed h, then
+    one product for each 2i >= t, with z^(2i) mod sigma from a table
+    made once.
     """
-    m, t = p.m, len(sigma) - 1
-    zero, one = [0] * m, [ones] + [0] * (m - 1)
-    inv = sliced_inv(sigma[-1], p)
-    high = [_lane_scale(inv, sigma[:-1], p)]  # high[i] = z^(t+i) mod sigma
-    for _ in range(t - 2):
+    m, t, w = p.m, len(sigma) - 1, _lane_width(ones)
+    low = (1 << (t * w)) - 1
+
+    def scale(c: list[int], f: list[int]) -> list[int]:
+        return sliced_mul(_lane_spread(c, t, w), f, p)
+
+    high = [scale(sliced_inv(sigma[-1], p), _lane_pack(sigma[:-1], w))]  # z^t mod sigma
+    for _ in range(t - 2):  # high[i] = z^(t+i) mod sigma
         prev = high[-1]
-        high.append(_lane_add([zero] + prev[:-1], _lane_scale(prev[-1], high[0], p)))
+        top = scale(_lane_coeff(prev, t - 1, w), high[0])
+        high.append([(u << w & low) ^ v for u, v in zip(prev, top)])
     k = (t - 1).bit_length() - 1
-    h = [zero] * t
-    h[1 << k] = one
+    h = [ones << ((1 << k) * w)] + [0] * (m - 1)
+    mask, half = (1 << w) - 1, (t + 1) // 2
     for _ in range(m - k):
-        sq = [zero] * t
-        for i, c in enumerate(h):
-            c = sliced_sqr(c, p)
-            if 2 * i < t:
-                sq[2 * i] = c  # ahead of every table row
-            else:
-                sq = _lane_add(sq, _lane_scale(c, high[2 * i - t], p))
-        h = sq
-    h[1] = [h[1][0] ^ ones] + h[1][1:]  # z^(2^m) - z
-    return ones & ~_lane_nonzero([v for c in h for v in c])
+        sq = sliced_sqr(h, p)  # slot i holds h_i^2, which belongs at z^(2i)
+        h = [sum((v >> (i * w) & mask) << (2 * i * w) for i in range(half)) for v in sq]
+        for i in range(half, t):
+            h = [u ^ v for u, v in zip(h, scale(_lane_coeff(sq, i, w), high[2 * i - t]))]
+    h[0] ^= ones << w  # z^(2^m) - z
+    return ones & ~_lane_nonzero([v for c in _lane_unpack(h, t, w) for v in c])
 
 
 def poly_ext_gcd(a: Gf2mPoly, b: Gf2mPoly, stop_deg, p: FieldParams):

@@ -256,21 +256,24 @@ def patterson_screen(code: GoppaCode, planes, ones: int) -> int:
     locator is the scalar one times a nonzero constant, so it does not
     split either, and patterson_decode raises Undecodable.
     """
+    S = mat_mul(code.lane_maps[0], BitMatrix(code.params.m * code.t, ones.bit_length(), planes))
+    return _screen_key_equation(code, S.rows, ones)
+
+
+def _screen_key_equation(code: GoppaCode, rows: list[int], ones: int) -> int:
+    """patterson_screen from S(z) itself: rows[i*m + k] is plane k of S's coefficient i."""
     p, t, m = code.params, code.t, code.params.m
-    r, lanes = m * t, ones.bit_length()
-    to_syndrome, to_sqrt = code.lane_maps
 
     def coeffs(rows) -> list:
         return [rows[i * m : (i + 1) * m] for i in range(t)]
 
     g = [[ones if c >> k & 1 else 0 for k in range(m)] for c in code.g.coeffs]
-    S = coeffs(mat_mul(to_syndrome, BitMatrix(r, lanes, planes)).rows)
-    rem, v, generic = sliced_ext_gcd(g, S, 0, ones, p)
+    rem, v, generic = sliced_ext_gcd(g, coeffs(rows), 0, ones, p)
     inv = sliced_inv(rem[0], p)
     T = [sliced_mul(inv, c, p) for c in v]  # S^-1 mod g
     T[1][0] ^= ones  # T + z
-    R = coeffs(mat_mul(to_sqrt, BitMatrix(r, lanes, [x for c in T for x in c])).rows)
-    a, b, still = sliced_ext_gcd(g, R, t // 2, ones, p)
+    R = mat_mul(code.lane_maps[1], BitMatrix(m * t, ones.bit_length(), [x for c in T for x in c]))
+    a, b, still = sliced_ext_gcd(g, coeffs(R.rows), t // 2, ones, p)
     generic &= still
     sigma = [None] * (t + 1)
     sigma[0::2] = [sliced_sqr(c, p) for c in a]

@@ -79,7 +79,7 @@ class MasterSecretKey:
     nied_sk: NiedSecretKey
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # an authority holds one per user it has issued
 class UserSecretKey:
     s: BitVector
     j: int

@@ -60,6 +60,25 @@ def hash_to_syndrome(bits: int, msg: bytes, i: int) -> BitVector:
     return BitVector(bits, int(prefix[::-1], 2))
 
 
+def _hash_to_syndromes(bits: int, msg: bytes, counters: list[int]) -> list[BitVector]:
+    """hash_to_syndrome(bits, msg, i) for each i in counters, which are in range.
+
+    The hash of the prefix is made once and copied for each counter, and
+    the joined digests are formatted as one string of bits.
+    """
+    prefix = hashlib.sha256()
+    prefix.update(bytes([DOMAIN_SYNDROME]))
+    prefix.update(len(msg).to_bytes(8, "big"))
+    prefix.update(msg)
+    digests = []
+    for i in counters:
+        h = prefix.copy()
+        h.update(i.to_bytes(8, "big"))
+        digests.append(h.digest())
+    joined = format(int.from_bytes(b"".join(digests), "big"), f"0{256 * len(counters)}b")
+    return [BitVector(bits, int(joined[o : o + bits][::-1], 2)) for o in range(0, len(joined), 256)]
+
+
 @dataclass(frozen=True)
 class McfsSignature:
     i: int
@@ -95,8 +114,11 @@ def mcfs_sign(
         lanes = _lanes(sk.code.t, retry_cap - drawn)
         saved = rng.getstate() if lanes > 1 and not isinstance(rng, random.SystemRandom) else None
         counters = [rng.randrange(1, top + 1) for _ in range(lanes)]
-        syns = [hash_to_syndrome(bits, msg, i) for i in counters]
-        candidates = nied_screen(sk, syns) if lanes > 1 else 1
+        if lanes > 1:
+            syns = _hash_to_syndromes(bits, msg, counters)
+            candidates = nied_screen(sk, syns)
+        else:
+            syns, candidates = [hash_to_syndrome(bits, msg, counters[0])], 1
         while candidates:
             low = candidates & -candidates
             candidates ^= low

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .binmat import (
     BitMatrix,
@@ -26,7 +27,7 @@ from .binmat import (
 )
 from .errors import DimensionMismatch, WeightError
 from .gf2m import FieldParams
-from .goppa import GoppaCode, _assemble_parity, build_goppa, patterson_decode, patterson_screen
+from .goppa import GoppaCode, _assemble_parity, _screen_key_equation, build_goppa, patterson_decode
 
 __all__ = ["NiedPublicKey", "NiedSecretKey", "nied_decrypt", "nied_encrypt", "nied_keygen", "nied_screen"]
 
@@ -55,6 +56,11 @@ class NiedSecretKey:
     def __post_init__(self):
         # once per key, not per decrypt; a singular q raises Singular here
         object.__setattr__(self, "q_inv", mat_invert(self.q))
+
+    @cached_property
+    def screen_map(self) -> BitMatrix:
+        """Q^-1 followed by syndrome_poly, one r x r GF(2) matrix; made on the first screen."""
+        return mat_mul(self.code.lane_maps[0], self.q_inv)
 
 
 def nied_keygen(
@@ -108,16 +114,20 @@ def nied_decrypt(sk: NiedSecretKey, y: BitVector) -> BitVector:
 def nied_screen(sk: NiedSecretKey, ys: list[BitVector]) -> int:
     """Mask of the ciphertexts in ys that nied_decrypt may accept; bit l is ys[l].
 
-    The ciphertexts are transposed into r bit planes, one lane each; Q^-1
-    then acts on the planes as XORs of planes, and goppa.patterson_screen
-    decodes every lane at once.  nied_decrypt raises Undecodable on each
+    The ciphertexts are joined into one int, a whole number of bytes
+    each, and transposed into r bit planes, one lane each, by one format.
+    sk.screen_map then takes the planes to those of S(z) as XORs of
+    planes, and goppa's screen decodes every lane at once, as
+    patterson_screen does.  nied_decrypt raises Undecodable on each
     ciphertext left out of the mask.
     """
     r = sk.code.n - sk.code.k
     if any(y.n != r for y in ys):
         raise DimensionMismatch(f"ciphertext length other than {r}")
-    # column j of the strings, read with the last ciphertext first, is plane r - 1 - j
-    cols = zip(*[format(y.bits, f"0{r}b") for y in reversed(ys)])
-    planes = [int("".join(c), 2) for c in cols][::-1]
-    inner = mat_mul(sk.q_inv, BitMatrix(r, len(ys), planes))
-    return patterson_screen(sk.code, inner.rows, (1 << len(ys)) - 1)
+    size = -(-r // 8)
+    joined = int.from_bytes(b"".join(y.bits.to_bytes(size, "little") for y in ys), "little")
+    # bit j of ys[l] is bit 8*size*l + j; read from the top, plane j starts at 8*size - 1 - j
+    bits = format(joined, f"0{8 * size * len(ys)}b")
+    planes = [int(bits[8 * size - 1 - j :: 8 * size], 2) for j in range(r)]
+    rows = mat_mul(sk.screen_map, BitMatrix(r, len(ys), planes)).rows
+    return _screen_key_equation(sk.code, rows, (1 << len(ys)) - 1)

@@ -370,6 +370,16 @@ def test_sliced_arithmetic_matches_per_point():
         assert _unslice(sliced_mul(planes, p.points, p), n) == prod
 
 
+def test_sliced_inverse_at_every_degree():
+    rng = random.Random(54)
+    for m in range(1, 17):
+        p = FieldParams(m)
+        values = [0, 1, (1 << m) - 1] + [rng.randrange(1 << m) for _ in range(61)]
+        planes = [sum((x >> k & 1) << i for i, x in enumerate(values)) for k in range(m)]
+        for x, y in zip(values, _unslice(sliced_inv(planes, p), len(values))):
+            assert y == 0 if x == 0 else slow_mul(x, y, m, p.modulus) == 1, (m, x)
+
+
 def _to_lanes(polys, m):
     """One lane polynomial holding polys[l] in lane l; all have the same length."""
     return [[sum((f[i] >> k & 1) << l for l, f in enumerate(polys)) for k in range(m)]
