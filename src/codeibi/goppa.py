@@ -268,14 +268,12 @@ def _screen_key_equation(code: GoppaCode, rows: list[int], ones: int) -> int:
         return [rows[i * m : (i + 1) * m] for i in range(t)]
 
     g = [[ones if c >> k & 1 else 0 for k in range(m)] for c in code.g.coeffs]
-    rem, v, generic = sliced_ext_gcd(g, coeffs(rows), 0, ones, p)
-    inv = sliced_inv(rem[0], p)
-    T = [sliced_mul(inv, c, p) for c in v]  # S^-1 mod g
-    T[1][0] ^= ones  # T + z
-    R = mat_mul(code.lane_maps[1], BitMatrix(m * t, ones.bit_length(), [x for c in T for x in c]))
-    a, b, still = sliced_ext_gcd(g, coeffs(R.rows), t // 2, ones, p)
+    (c,), v, generic = sliced_ext_gcd(g, coeffs(rows), 0, ones, p)  # v*S = c mod g
+    v[1] = [x ^ y for x, y in zip(v[1], c)]  # c*(T + z), T = S^-1: its root is sqrt(c)*R
+    R = mat_mul(code.lane_maps[1], BitMatrix(m * t, ones.bit_length(), [x for f in v for x in f]))
+    a, b, still = sliced_ext_gcd(g, coeffs(R.rows), t // 2, ones, p)  # so b comes out over sqrt(c)
     generic &= still
     sigma = [None] * (t + 1)
-    sigma[0::2] = [sliced_sqr(c, p) for c in a]
-    sigma[1::2] = [sliced_sqr(c, p) for c in b]
+    sigma[0::2] = [sliced_sqr(f, p) for f in a]
+    sigma[1::2] = [sliced_mul(c, sliced_sqr(f, p), p) for f in b]  # a^2 + c*z*b^2
     return (ones ^ generic) | (generic & sliced_splits(sigma, ones, p))

@@ -76,7 +76,7 @@ def _hash_to_syndromes(bits: int, msg: bytes, counters: list[int]) -> list[BitVe
         h.update(i.to_bytes(8, "big"))
         digests.append(h.digest())
     joined = format(int.from_bytes(b"".join(digests), "big"), f"0{256 * len(counters)}b")
-    return [BitVector(bits, int(joined[o : o + bits][::-1], 2)) for o in range(0, len(joined), 256)]
+    return [BitVector(bits, int(joined[o : o + bits][::-1], 2)) for o in range(0, 256 * len(counters), 256)]
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,8 @@ def nied_screen(sk: NiedSecretKey, ys: list[BitVector]) -> int:
     ciphertext left out of the mask.
     """
     r = sk.code.n - sk.code.k
+    if not ys:
+        return 0
     if any(y.n != r for y in ys):
         raise DimensionMismatch(f"ciphertext length other than {r}")
     size = -(-r // 8)

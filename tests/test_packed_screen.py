@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import codeibi.gf2m
+import codeibi.goppa
 from codeibi import (
     BitVector,
     FieldParams,
@@ -121,3 +123,44 @@ def test_bulk_syndromes_match_hash_to_syndrome(bits):
     for msg in (b"", b"alice", bytes(range(256)) * 3):
         expect = [hash_to_syndrome(bits, msg, i) for i in counters]
         assert _hash_to_syndromes(bits, msg, counters) == expect
+
+
+@pytest.mark.parametrize("m, t, seed", [(5, 2, 201), (6, 2, 202), (6, 4, 203), (7, 4, 204)])
+def test_screen_matches_the_scalar_steps_at_even_t(m, t, seed):
+    # At even t the locator's leading term is a^2, and the first Euclid's
+    # constant scales only its odd half, so the top coefficient is unscaled.
+    code, rng = build_goppa(FieldParams(m), t, random.Random(seed)), random.Random(seed)
+    r, lanes = m * t, 200
+    syndromes = []
+    for lane in range(lanes):
+        if lane % 3 == 1:
+            e = BitVector.random_weight(code.n, rng.randrange(1, t + 1), rng)
+            syndromes.append(binary_syndrome(code, e).bits)
+        else:
+            syndromes.append(rng.getrandbits(r))
+    mask = patterson_screen(code, planes_of(syndromes, r), (1 << lanes) - 1)
+    assert 0 < mask < (1 << lanes) - 1
+    for lane, s in enumerate(syndromes):
+        assert mask >> lane & 1 == scalar_screen(code, s), lane
+        assert mask >> lane & 1 or not decodes(code, BitVector(r, s)), lane
+
+
+def test_one_screen_makes_one_inversion(monkeypatch):
+    _, sk = nied_keygen(FieldParams(8), 5, random.Random(205))
+    calls = []
+    inv = codeibi.gf2m.sliced_inv
+    for module in (codeibi.gf2m, codeibi.goppa):
+        monkeypatch.setattr(module, "sliced_inv", lambda a, p: calls.append(1) or inv(a, p))
+    rng = random.Random(206)
+    r = sk.q.nrows
+    nied_screen(sk, [BitVector(r, rng.getrandbits(r)) for _ in range(300)])
+    assert len(calls) == 1
+    patterson_screen(sk.code, [rng.getrandbits(300) for _ in range(r)], (1 << 300) - 1)
+    assert len(calls) == 2
+
+
+def test_an_empty_batch_screens_and_hashes_to_nothing():
+    _, sk = nied_keygen(FieldParams(6), 3, random.Random(207))
+    assert nied_screen(sk, []) == 0
+    assert patterson_screen(sk.code, [0] * sk.q.nrows, 0) == 0
+    assert _hash_to_syndromes(sk.q.nrows, b"alice", []) == []
