@@ -2,7 +2,8 @@
 
 A vector of length n lives in one Python int; bit i is coordinate i,
 and bit (i mod 8) of byte i//8 when packed.  Permutations and column
-picks all move bits by one gather over an int's '0'/'1' string.
+picks all move bits by one gather over an int's '0'/'1' string, and a
+run of packed values turns into bit planes one byte column at a time.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ __all__ = [
     "Permutation",
     "apply_inverse_permutation",
     "apply_permutation",
+    "bit_planes",
     "gaussian_solve",
     "mat_invert",
     "mat_mul",
@@ -173,17 +175,21 @@ def mat_vec_mul(mat: BitMatrix, v: BitVector) -> BitVector:
 
 
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """a @ b by the Method of Four Russians, five rows of b at a time.
+
+    The 32 XOR sums of each five rows of b are tabled by doubling, and
+    every row of a picks its sum from its five bits there.  Each table is
+    dropped before the next is made, so one is alive at a time.
+    """
     if a.ncols != b.nrows:
         raise DimensionMismatch(f"inner dimensions {a.ncols} and {b.nrows} differ")
-    out = []
-    for row in a.rows:
-        acc = 0
-        r = row
-        while r:
-            low = r & -r
-            acc ^= b.rows[low.bit_length() - 1]
-            r ^= low
-        out.append(acc)
+    out = [0] * a.nrows
+    for s in range(0, b.nrows, 5):
+        table = [0]
+        for row in b.rows[s : s + 5]:
+            table += [x ^ row for x in table]
+        for i, row in enumerate(a.rows):
+            out[i] ^= table[row >> s & 31]
     return BitMatrix(a.nrows, b.ncols, out)
 
 
@@ -397,3 +403,26 @@ def permute_columns(mat: BitMatrix, perm: Permutation) -> BitMatrix:
 def select_columns(mat: BitMatrix, cols) -> BitMatrix:
     """Matrix whose new column j is old column cols[j], one gather per row."""
     return BitMatrix(mat.nrows, len(cols), [_gather(row, mat.ncols, cols) for row in mat.rows])
+
+
+# _PLANE_DIGITS[k] maps each byte to the ASCII digit of its bit k
+_PLANE_DIGITS = [bytes(48 + (v >> k & 1) for v in range(256)) for k in range(8)]
+
+
+def bit_planes(data: bytes, width: int, bits: int) -> list[int]:
+    """Bit planes 0 .. bits-1 of data's little-endian values, width bytes each.
+
+    Bit i of plane k is bit k of value i.  Each byte column is sliced out
+    and reversed once, and each of its bit planes is one translate to
+    '0'/'1' digits and one int(), so no string is longer than the count
+    of values.
+    """
+    if width < 1 or bits > 8 * width or len(data) % width:
+        raise DimensionMismatch(f"{len(data)} bytes are not a run of {width}-byte values with {bits} bits")
+    if not data:
+        return [0] * bits
+    planes = []
+    for b in range(0, bits, 8):
+        column = data[b // 8 :: width][::-1]
+        planes += [int(column.translate(digits), 2) for digits in _PLANE_DIGITS[: bits - b]]
+    return planes

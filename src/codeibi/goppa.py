@@ -256,6 +256,7 @@ def patterson_screen(code: GoppaCode, planes, ones: int) -> int:
     locator is the scalar one times a nonzero constant, so it does not
     split either, and patterson_decode raises Undecodable.
     """
+    planes = [x & ones for x in planes]
     S = mat_mul(code.lane_maps[0], BitMatrix(code.params.m * code.t, ones.bit_length(), planes))
     return _screen_key_equation(code, S.rows, ones)
 

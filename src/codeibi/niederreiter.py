@@ -2,14 +2,17 @@
 
 The public matrix is h_tilde = Q @ H_bin @ P for a secret nonsingular Q
 and a secret support permutation P.  Column j of H_bin @ P is the parity
-column of the support point P.map[j], so keygen permutes the m bit planes
-of the points and assembles H_bin @ P at the permuted points, in place of
-permuting the m*t rows of H_bin.  Encrypting a weight-t vector means
-publishing its scrambled syndrome; decrypting unscrambles and decodes.
+column of the support point P.map[j], which is the element P.map[j]
+itself, so keygen reads the m bit planes of the permuted points off
+P.map and assembles H_bin @ P there, in place of permuting the m*t rows
+of H_bin.  Encrypting a weight-t vector means publishing its scrambled
+syndrome; decrypting unscrambles and decodes.
 """
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -18,10 +21,10 @@ from .binmat import (
     BitVector,
     Permutation,
     apply_inverse_permutation,
+    bit_planes,
     mat_invert,
     mat_mul,
     mat_vec_mul,
-    permute_columns,
     random_nonsingular,
     random_permutation,
 )
@@ -84,9 +87,20 @@ def nied_keygen(
         raise DimensionMismatch(f"Q must be {r}x{r}")
     if p.n != code.n:
         raise DimensionMismatch(f"P must act on {code.n} points")
-    points = permute_columns(BitMatrix(params.m, code.n, params.points), p).rows
-    h_tilde = mat_mul(q, _assemble_parity(params, t, code.g, points))
+    h_tilde = mat_mul(q, _assemble_parity(params, t, code.g, _permuted_points(p, params.m)))
     return NiedPublicKey(h_tilde, t), NiedSecretKey(q, code, p)
+
+
+def _permuted_points(p: Permutation, m: int) -> list[int]:
+    """The m bit planes of the support points permuted by p.
+
+    The point at position j is p.map[j] itself (x_i = i), of at most 16
+    bits, so the planes are those of p.map's values.
+    """
+    images = array("H", p.map)
+    if sys.byteorder == "big":
+        images.byteswap()
+    return bit_planes(images.tobytes(), 2, m)
 
 
 def nied_encrypt(pk: NiedPublicKey, x: BitVector) -> BitVector:
@@ -114,8 +128,8 @@ def nied_decrypt(sk: NiedSecretKey, y: BitVector) -> BitVector:
 def nied_screen(sk: NiedSecretKey, ys: list[BitVector]) -> int:
     """Mask of the ciphertexts in ys that nied_decrypt may accept; bit l is ys[l].
 
-    The ciphertexts are joined into one int, a whole number of bytes
-    each, and transposed into r bit planes, one lane each, by one format.
+    The ciphertexts are joined, a whole number of bytes each, and
+    transposed into r bit planes, one lane each, by binmat.bit_planes.
     sk.screen_map then takes the planes to those of S(z) as XORs of
     planes, and goppa's screen decodes every lane at once, as
     patterson_screen does.  nied_decrypt raises Undecodable on each
@@ -127,9 +141,6 @@ def nied_screen(sk: NiedSecretKey, ys: list[BitVector]) -> int:
     if any(y.n != r for y in ys):
         raise DimensionMismatch(f"ciphertext length other than {r}")
     size = -(-r // 8)
-    joined = int.from_bytes(b"".join(y.bits.to_bytes(size, "little") for y in ys), "little")
-    # bit j of ys[l] is bit 8*size*l + j; read from the top, plane j starts at 8*size - 1 - j
-    bits = format(joined, f"0{8 * size * len(ys)}b")
-    planes = [int(bits[8 * size - 1 - j :: 8 * size], 2) for j in range(r)]
+    planes = bit_planes(b"".join(y.bits.to_bytes(size, "little") for y in ys), size, r)
     rows = mat_mul(sk.screen_map, BitMatrix(r, len(ys), planes)).rows
     return _screen_key_equation(sk.code, rows, (1 << len(ys)) - 1)

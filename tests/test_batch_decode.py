@@ -75,6 +75,21 @@ def test_screen_keeps_every_lane_the_decoder_accepts(m, t, lanes):
         assert bin(mask).count("1") <= sum(accepted) + lanes // 20
 
 
+def test_screen_reads_only_the_lanes_of_ones():
+    # planes may carry bits in any lane, above the top lane of ones too
+    rng = random.Random(52)
+    code = build_goppa(FieldParams(5), 2, rng)
+    r, lanes = 10, 500
+    for _ in range(5):
+        syndromes = [rng.getrandbits(r) for _ in range(lanes)]
+        ones = rng.getrandbits(lanes - 50)
+        mask = patterson_screen(code, planes_of(syndromes, r), ones)
+        assert mask & ~ones == 0
+        for lane, s in enumerate(syndromes):
+            if ones >> lane & 1 and decodes(patterson_decode, code, BitVector(r, s)):
+                assert mask >> lane & 1, lane
+
+
 @pytest.mark.parametrize("m,t,seed", [(5, 2, 3), (12, 5, 4)])
 def test_niederreiter_screen_keeps_every_ciphertext_that_decrypts(m, t, seed):
     rng = random.Random(seed)

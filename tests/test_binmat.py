@@ -7,6 +7,7 @@ from codeibi import (
     BitMatrix,
     BitVector,
     DimensionMismatch,
+    FieldParams,
     Inconsistent,
     ParameterError,
     Permutation,
@@ -15,6 +16,7 @@ from codeibi import (
     Singular,
     apply_inverse_permutation,
     apply_permutation,
+    bit_planes,
     gaussian_solve,
     mat_invert,
     mat_mul,
@@ -83,6 +85,29 @@ def test_mat_mul_associates_with_vec():
     for _ in range(30):
         v = BitVector.random(12, rng)
         assert mat_vec_mul(ab, v) == mat_vec_mul(a, mat_vec_mul(b, v))
+
+
+def schoolbook_mul(a, b):
+    """Row i of a @ b is the XOR of the rows of b at the set bits of row i of a."""
+    rows = []
+    for row in a.rows:
+        acc = 0
+        for j in range(a.ncols):
+            if row >> j & 1:
+                acc ^= b.rows[j]
+        rows.append(acc)
+    return BitMatrix(a.nrows, b.ncols, rows)
+
+
+@pytest.mark.parametrize("n,k,c", [(0, 0, 0), (1, 1, 1), (3, 7, 5), (60, 60, 240), (61, 61, 9), (144, 144, 4096)])
+def test_mat_mul_matches_schoolbook(n, k, c):
+    rng = random.Random(n * 10_000 + k * 100 + c)
+    for _ in range(3):
+        a = BitMatrix(n, k, [rng.getrandbits(k) for _ in range(n)])
+        b = BitMatrix(k, c, [rng.getrandbits(c) for _ in range(k)])
+        assert mat_mul(a, b) == schoolbook_mul(a, b)
+    ones = BitMatrix(n, k, [(1 << k) - 1] * n)
+    assert mat_mul(ones, b) == schoolbook_mul(ones, b)
 
 
 def test_mat_invert():
@@ -281,3 +306,34 @@ def test_permutation_refuses_entries_that_are_not_ints():
         with pytest.raises(ParameterError):
             Permutation(images)
     assert Permutation((True, False)).map == (1, 0)
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_bit_planes_of_a_map_are_the_permuted_support_planes(m):
+    rng = random.Random(43 + m)
+    params = FieldParams(m)
+    p = random_permutation(1 << m, rng)
+    data = b"".join(i.to_bytes(2, "little") for i in p.map)
+    assert bit_planes(data, 2, m) == list(permute_columns(BitMatrix(m, 1 << m, params.points), p).rows)
+
+
+@pytest.mark.parametrize("width", [1, 8, 18, 32])
+@pytest.mark.parametrize("count", [1, 7, 240])
+def test_bit_planes_match_the_per_lane_definition(width, count):
+    rng = random.Random(47 * width + count)
+    ys = [rng.getrandbits(8 * width) for _ in range(count)]
+    data = b"".join(y.to_bytes(width, "little") for y in ys)
+    for bits in (8 * width, 8 * width - 3, 1):
+        planes = bit_planes(data, width, bits)
+        assert len(planes) == bits
+        for j, plane in enumerate(planes):
+            assert plane >> count == 0
+            assert all(plane >> lane & 1 == ys[lane] >> j & 1 for lane in range(count))
+
+
+def test_bit_planes_of_nothing_and_of_a_ragged_run():
+    assert bit_planes(b"", 3, 20) == [0] * 20
+    with pytest.raises(DimensionMismatch):
+        bit_planes(b"\x01\x02\x03", 2, 9)
+    with pytest.raises(DimensionMismatch):
+        bit_planes(b"\x01\x02", 2, 17)
