@@ -1,9 +1,12 @@
 """Dense linear algebra over GF(2) with int-packed rows and vectors.
 
 A vector of length n lives in one Python int; bit i is coordinate i,
-and bit (i mod 8) of byte i//8 when packed.  Permutations and column
-picks all move bits by one gather over an int's '0'/'1' string, and a
-run of packed values turns into bit planes one byte column at a time.
+and bit (i mod 8) of byte i//8 when packed.  A permutation lives in the
+bytes that Stern hashes and sends, its images as big-endian 16-bit
+words, 2 bytes an entry.  Applying one is one scatter of an int's
+'0'/'1' digits to its images; its inverse and column picks move bits by
+one gather over such a string.  A run of packed values turns into bit
+planes one byte column at a time.
 """
 from __future__ import annotations
 
@@ -11,6 +14,7 @@ import array
 import functools
 import operator
 import random
+import struct
 import sys
 
 from .errors import DimensionMismatch, Inconsistent, ParameterError, RangeError, Singular
@@ -29,9 +33,11 @@ __all__ = [
     "mat_vec_mul",
     "perm_matrix",
     "permute_columns",
+    "permute_support",
     "random_nonsingular",
     "random_permutation",
     "select_columns",
+    "unpermute_support",
 ]
 
 
@@ -272,58 +278,111 @@ def random_nonsingular(dim: int, rng: random.Random) -> BitMatrix:
 def _indices(n: int) -> tuple:
     """tuple(range(n)), kept once per n for the last few n.
 
-    Every Permutation on n points holds these int objects in its map, so
-    a map costs 8 bytes an entry, not about 40 with an int of its own.
+    random_permutation shuffles a copy of it, and every map built on n
+    points holds its int objects, so no two maps hold two copies of one
+    value.
     """
     return tuple(range(n))
 
 
-class Permutation:
-    """Permutation of {0..n-1}; map[i] is the image of position i."""
+def _word_code(n: int) -> str:
+    """struct code of one image on n points: 16 bits up to 2^16 points, 32 past that."""
+    return "H" if n <= 1 << 16 else "I"
 
-    __slots__ = ("map",)
+
+def _pack(images) -> bytes:
+    """The images as big-endian words, one per point; struct.error if one does not fit."""
+    return struct.pack(f">{len(images)}{_word_code(len(images))}", *images)
+
+
+class Permutation:
+    """Permutation of {0..n-1}; images()[i], like map[i], is the image of position i.
+
+    It is held as words: the images as big-endian 16-bit words, 2 bytes
+    an entry, which are the bytes a Stern commitment hashes and the wire
+    carries.  Past 2^16 points the words are 32-bit, and have no wire form.
+    """
+
+    __slots__ = ("words",)
 
     def __init__(self, images):
-        images = tuple(images)
-        n = len(images)
-        indices = _indices(n)
-        # one pick from _indices(n) checks and shares at once: a non-int raises
-        # TypeError, an entry >= n IndexError, and a negative one wraps round to
-        # another value; itemgetter returns a tuple only for two or more picks
+        # struct refuses a non-int (a bool is an int) and a negative entry
         try:
-            if n > 1:
-                mapped = operator.itemgetter(*images)(indices)
-            else:
-                mapped = tuple(indices[i] for i in images)
-        except (TypeError, IndexError) as e:
+            self.words = _pack(tuple(images))
+        except struct.error as e:
             raise ParameterError(f"not a permutation of ints: {e}") from e
-        if mapped != images or len(set(mapped)) != n:
-            raise ParameterError("not a permutation")
-        self.map = mapped
+        self._check()
 
     @classmethod
-    def _unchecked(cls, images) -> "Permutation":
-        """A map that is a permutation by construction, not validated again."""
-        perm = cls.__new__(cls)
-        perm.map = tuple(images)
+    def from_words(cls, words: bytes) -> "Permutation":
+        """The permutation on at most 2^16 points whose 16-bit words these are.
+
+        Raises ParameterError unless they are a permutation's.
+        """
+        if len(words) % 2 or len(words) > 2 << 16:
+            raise ParameterError(f"{len(words)} bytes are not the words of at most 2^16 points")
+        perm = cls._unchecked(words)
+        perm._check()
         return perm
+
+    @classmethod
+    def _unchecked(cls, words: bytes) -> "Permutation":
+        """Words that are a permutation's by construction, not validated again."""
+        perm = cls.__new__(cls)
+        perm.words = bytes(words)
+        return perm
+
+    def _check(self) -> None:
+        """ParameterError unless the words hold each of 0..n-1 once.
+
+        Each image marks its slot: an image of n or more has none, and a
+        repeated one leaves another slot unmarked.
+        """
+        seen = [False] * self.n
+        try:
+            for image in self.images():
+                seen[image] = True
+        except IndexError:
+            raise ParameterError("not a permutation: an image out of range") from None
+        if not all(seen):
+            raise ParameterError("not a permutation: a repeated image")
 
     @property
     def n(self) -> int:
-        return len(self.map)
+        size = len(self.words)
+        return size >> 1 if size <= 2 << 16 else size >> 2
+
+    def images(self) -> array.array:
+        """The images in native byte order, unpacked once: to read, not to keep."""
+        images = array.array(_word_code(self.n), self.words)
+        if sys.byteorder == "little":
+            images.byteswap()
+        return images
+
+    @property
+    def map(self) -> tuple:
+        """The images as the ints of one shared tuple(range(n)), built per call."""
+        indices = _indices(self.n)
+        return tuple(indices[i] for i in self.images())
 
     def inverse(self) -> "Permutation":
-        """Rebuilt per call: a cached one keeps a second map alive per permutation."""
-        inv = [0] * len(self.map)
-        for i, v in zip(_indices(len(self.map)), self.map):
-            inv[v] = i
-        return Permutation._unchecked(inv)
+        """Position i written at slot map[i], rebuilt per call.
+
+        The positions are the shared ints of _indices(n), so the list made
+        on the way holds no int of its own; a cached inverse would keep a
+        second set of words alive per permutation.
+        """
+        n = self.n
+        inv = [0] * n
+        for i, image in zip(_indices(n), self.images()):
+            inv[image] = i
+        return Permutation._unchecked(_pack(inv))
 
     def __eq__(self, other):
-        return isinstance(other, Permutation) and self.map == other.map
+        return isinstance(other, Permutation) and self.words == other.words
 
     def __hash__(self):
-        return hash(self.map)
+        return hash(self.words)
 
     def __repr__(self):
         return f"Permutation(n={self.n})"
@@ -339,7 +398,8 @@ def random_permutation(n: int, rng: random.Random) -> Permutation:
     draws no word that shuffle would not, and yields the same words,
     lowest first.  One shift and one mask of that int cut every word to
     its top k bits, and the walk over them swaps on each word that is at
-    most i.  A SystemRandom runs the same code on its uniform bits.
+    most i.  A SystemRandom runs the same code on its uniform bits.  The
+    shuffled list is packed into words once, at the end.
     """
     if n < 1:
         raise ParameterError(f"length must be positive, got {n}")
@@ -359,7 +419,7 @@ def random_permutation(n: int, rng: random.Random) -> Permutation:
                 if r <= i:
                     images[i], images[r] = images[r], images[i]
                     i -= 1
-    return Permutation._unchecked(images)
+    return Permutation._unchecked(_pack(images))
 
 
 def _gather(bits: int, n: int, picks) -> int:
@@ -376,28 +436,73 @@ def _gather(bits: int, n: int, picks) -> int:
     return int("".join(pick(format(bits, f"0{n}b")[::-1]))[::-1].lstrip("0") or "0", 2)
 
 
+def _check_length(perm: Permutation, v: BitVector) -> None:
+    if v.n != perm.n:
+        raise DimensionMismatch(f"permutation on {perm.n} points, vector length {v.n}")
+
+
 def apply_permutation(perm: Permutation, v: BitVector) -> BitVector:
-    """Vector with coordinate i of v moved to coordinate map[i]."""
-    return apply_inverse_permutation(perm.inverse(), v)
+    """Vector with coordinate i of v moved to coordinate map[i].
+
+    One scatter: v's '0'/'1' digits, low bit first, are written at the
+    images in a list, which one join and one int() read back.  A plain
+    loop over the native-order images beats operator.setitem mapped over
+    them, which pays a call per entry.
+    """
+    _check_length(perm, v)
+    n = v.n
+    digits = [""] * n
+    for image, digit in zip(perm.images(), format(v.bits, f"0{n}b")[::-1]):
+        digits[image] = digit
+    return BitVector(n, int("".join(digits)[::-1] or "0", 2))
+
+
+def permute_support(perm: Permutation, v: BitVector) -> BitVector:
+    """apply_permutation(perm, v), reading only the words at v's support.
+
+    For a sparse v: a weight-t vector costs t word reads, not a scatter
+    of n digits.
+    """
+    _check_length(perm, v)
+    word = struct.Struct(">" + _word_code(v.n))
+    return BitVector.from_support(v.n, (word.unpack_from(perm.words, word.size * i)[0] for i in v.support()))
+
+
+def unpermute_support(perm: Permutation, v: BitVector) -> BitVector:
+    """apply_inverse_permutation(perm, v), found from v's support alone.
+
+    For a sparse v: coordinate j of the result is set where map[j] is in
+    v's support, so each set bit is looked up as its word in the words,
+    at a whole-word offset, with no inverse built.
+    """
+    _check_length(perm, v)
+    word = struct.Struct(">" + _word_code(v.n))
+    positions = []
+    for i in v.support():
+        needle = word.pack(i)
+        at = perm.words.index(needle)
+        while at % word.size:  # the needle straddled two words
+            at = perm.words.index(needle, at + 1)
+        positions.append(at // word.size)
+    return BitVector.from_support(v.n, positions)
 
 
 def apply_inverse_permutation(perm: Permutation, v: BitVector) -> BitVector:
     """Vector whose coordinate j is coordinate map[j] of v."""
-    if v.n != perm.n:
-        raise DimensionMismatch(f"permutation on {perm.n} points, vector length {v.n}")
-    return BitVector(v.n, _gather(v.bits, v.n, perm.map))
+    _check_length(perm, v)
+    return BitVector(v.n, _gather(v.bits, v.n, perm.images()))
 
 
 def perm_matrix(perm: Permutation) -> BitMatrix:
     """Matrix M with M @ v = apply_permutation(perm, v)."""
-    return BitMatrix(perm.n, perm.n, [1 << i for i in perm.inverse().map])
+    return BitMatrix(perm.n, perm.n, [1 << i for i in perm.inverse().images()])
 
 
 def permute_columns(mat: BitMatrix, perm: Permutation) -> BitMatrix:
     """mat @ perm_matrix(perm): new column j is old column map[j]."""
     if mat.ncols != perm.n:
         raise DimensionMismatch(f"matrix has {mat.ncols} columns, permutation on {perm.n}")
-    return select_columns(mat, perm.map)
+    return select_columns(mat, perm.images())
 
 
 def select_columns(mat: BitMatrix, cols) -> BitMatrix:

@@ -4,14 +4,14 @@ The public matrix is h_tilde = Q @ H_bin @ P for a secret nonsingular Q
 and a secret support permutation P.  Column j of H_bin @ P is the parity
 column of the support point P.map[j], which is the element P.map[j]
 itself, so keygen reads the m bit planes of the permuted points off
-P.map and assembles H_bin @ P there, in place of permuting the m*t rows
-of H_bin.  Encrypting a weight-t vector means publishing its scrambled
-syndrome; decrypting unscrambles and decodes.
+P's words and assembles H_bin @ P there, in place of permuting the m*t
+rows of H_bin.  Encrypting a weight-t vector means publishing its
+scrambled syndrome; decrypting unscrambles, decodes, and moves the
+error's few set bits back through P.
 """
 from __future__ import annotations
 
 import random
-import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -20,13 +20,13 @@ from .binmat import (
     BitMatrix,
     BitVector,
     Permutation,
-    apply_inverse_permutation,
     bit_planes,
     mat_invert,
     mat_mul,
     mat_vec_mul,
     random_nonsingular,
     random_permutation,
+    unpermute_support,
 )
 from .errors import DimensionMismatch, WeightError
 from .gf2m import FieldParams
@@ -95,11 +95,11 @@ def _permuted_points(p: Permutation, m: int) -> list[int]:
     """The m bit planes of the support points permuted by p.
 
     The point at position j is p.map[j] itself (x_i = i), of at most 16
-    bits, so the planes are those of p.map's values.
+    bits, so the planes are those of p's words, each swapped from
+    big-endian to the little-endian order bit_planes reads.
     """
-    images = array("H", p.map)
-    if sys.byteorder == "big":
-        images.byteswap()
+    images = array("H", p.words)
+    images.byteswap()
     return bit_planes(images.tobytes(), 2, m)
 
 
@@ -122,7 +122,7 @@ def nied_decrypt(sk: NiedSecretKey, y: BitVector) -> BitVector:
         raise DimensionMismatch(f"ciphertext length {y.n}, expected {r}")
     inner = mat_vec_mul(sk.q_inv, y)
     e = patterson_decode(sk.code, inner)
-    return apply_inverse_permutation(sk.p, e)
+    return unpermute_support(sk.p, e)
 
 
 def nied_screen(sk: NiedSecretKey, ys: list[BitVector]) -> int:

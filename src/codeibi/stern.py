@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -21,9 +20,9 @@ from .binmat import (
     BitMatrix,
     BitVector,
     Permutation,
-    apply_inverse_permutation,
     apply_permutation,
     mat_vec_mul,
+    permute_support,
     random_permutation,
 )
 from .errors import (
@@ -107,8 +106,8 @@ class ProverRoundState:
 
 
 def encode_perm(perm: Permutation) -> bytes:
-    """Permutation images as big-endian 16-bit words."""
-    return struct.pack(f">{perm.n}H", *perm.map)
+    """Permutation images as big-endian 16-bit words: the words it is held as."""
+    return perm.words
 
 
 def _commit(*parts: bytes) -> bytes:
@@ -126,9 +125,9 @@ def stern_commit(h: BitMatrix, s: BitVector, rng: random.Random):
     y = BitVector.random(n, rng)
     sigma = random_permutation(n, rng)
     syn_y = mat_vec_mul(h, y)
-    sig_y = apply_inverse_permutation(sigma.inverse(), y)
+    sig_y = apply_permutation(sigma, y)
     # s is sparse (weight <= t for a prover), so sigma(s) moves its support
-    sig_s = BitVector(n, sum(1 << sigma.map[i] for i in s.support()))
+    sig_s = permute_support(sigma, s)
     com = Commitments(
         _commit(encode_perm(sigma), syn_y.to_bytes()),
         _commit(sig_y.to_bytes()),

@@ -12,7 +12,6 @@ left before it is used, and decoders reject anything non-canonical.
 from __future__ import annotations
 
 import argparse
-import array
 import dataclasses
 import io
 import json
@@ -130,12 +129,26 @@ class _Reader:
             raise MalformedEnvelope(f"{len(self.data) - self.pos} trailing bytes")
 
 
+def _finish(r: _Reader, dec):
+    """dec applied to the rest of r's bytes, with nothing left over.
+
+    A value that refuses what dec read raises its own codeibi error, a
+    ParameterError or a RangeError say; untrusted bytes report every one
+    as MalformedEnvelope.
+    """
+    try:
+        value = dec(r)
+        r.expect_end()
+        return value
+    except (TruncatedInput, MalformedEnvelope):
+        raise
+    except CodeIbiError as e:
+        raise MalformedEnvelope(str(e)) from e
+
+
 def _parse(data: bytes, dec):
     """dec applied to all of data, with nothing left over."""
-    r = _Reader(data)
-    value = dec(r)
-    r.expect_end()
-    return value
+    return _finish(_Reader(data), dec)
 
 
 def _enc_bitvec(v: BitVector) -> bytes:
@@ -147,25 +160,18 @@ def _dec_bitvec(r: _Reader) -> BitVector:
     return BitVector.from_bytes(r.take((n + 7) // 8), n)
 
 
-def _enc_words(words) -> bytes:
-    """A u32 count, then big-endian u16 words: permutations and polynomials.
-
-    An entry of 2^16 or more makes struct raise, which encode() reports
-    as MalformedEnvelope; a Python range scan costs more than the pack.
-    """
-    if len(words) > _MAX_WORDS:
-        raise MalformedEnvelope(f"word array of {len(words)} entries too large")
-    return struct.pack(f">I{len(words)}H", len(words), *words)
+def _enc_words(words: bytes) -> bytes:
+    """A u32 count, then the big-endian u16 words: permutations and polynomials."""
+    if len(words) > 2 * _MAX_WORDS:
+        raise MalformedEnvelope(f"word array of {len(words)} bytes too large")
+    return struct.pack(">I", len(words) // 2) + words
 
 
-def _dec_words(r: _Reader) -> array.array:
+def _dec_words(r: _Reader) -> bytes:
     (n,) = r.unpack(">I")
     if n > _MAX_WORDS:
         raise MalformedEnvelope(f"word array of {n} entries too large")
-    words = array.array("H", r.take(2 * n))
-    if sys.byteorder == "little":
-        words.byteswap()
-    return words
+    return r.take(2 * n)
 
 
 def _enc_matrix(m: BitMatrix, out: io.BytesIO) -> None:
@@ -192,7 +198,7 @@ def encode_response_payload(resp: Response) -> bytes:
     if resp.b in (0, 1):
         if resp.perm is None:
             raise MalformedEnvelope("response lacks its permutation")
-        opened = _enc_words(resp.perm.map)
+        opened = _enc_words(resp.perm.words)
     elif resp.b == 2:
         if resp.vec2 is None:
             raise MalformedEnvelope("response lacks its second vector")
@@ -205,7 +211,7 @@ def encode_response_payload(resp: Response) -> bytes:
 def _dec_response(r: _Reader) -> Response:
     (b,) = r.unpack(">B")
     if b in (0, 1):
-        return Response(b, _dec_bitvec(r), perm=Permutation(_dec_words(r)))
+        return Response(b, _dec_bitvec(r), perm=Permutation.from_words(_dec_words(r)))
     if b == 2:
         vec = _dec_bitvec(r)
         return Response(b, vec, vec2=_dec_bitvec(r))
@@ -308,18 +314,20 @@ def _enc_msk_body(msk: MasterSecretKey, out: io.BytesIO) -> None:
     code = sk.code
     _check_secret_key(code.params.m, code.t, sk.q, sk.p)
     out.write(struct.pack(">BIH", code.params.m, code.params.modulus, code.t))
-    out.write(_enc_words(code.g.coeffs))
+    # a coefficient of 2^16 or more makes struct raise, which encode() reports as MalformedEnvelope
+    out.write(_enc_words(struct.pack(f">{len(code.g.coeffs)}H", *code.g.coeffs)))
     _enc_matrix(sk.q, out)
-    out.write(_enc_words(sk.p.map))
+    out.write(_enc_words(sk.p.words))
 
 
 def _dec_msk_body(r: _Reader) -> MasterSecretKey:
     m, modulus, t = r.unpack(">BIH")
-    coeffs = _dec_words(r)
+    words = _dec_words(r)
+    coeffs = struct.unpack(f">{len(words) // 2}H", words)
     if coeffs and coeffs[-1] == 0:
         raise MalformedEnvelope("non-normalized polynomial")
     q = _dec_matrix(r)
-    p = Permutation(_dec_words(r))
+    p = Permutation.from_words(_dec_words(r))
     _check_secret_key(m, t, q, p)  # before code_from_poly, whose irreducibility test grows with t
     code = code_from_poly(FieldParams(m, modulus), t, Gf2mPoly(coeffs))
     return MasterSecretKey(NiedSecretKey(q, code, p))
@@ -461,14 +469,7 @@ def decode(data: bytes, expect: int | None = None):
         raise TruncatedInput(f"wanted {body_len} bytes at offset {r.pos}")
     if body_len < len(data) - r.pos:
         raise MalformedEnvelope(f"{len(data) - r.pos - body_len} trailing bytes")
-    try:
-        value = _KINDS[kind][2](r)
-        r.expect_end()
-        return value
-    except (TruncatedInput, MalformedEnvelope, VersionMismatch):
-        raise
-    except CodeIbiError as e:
-        raise MalformedEnvelope(str(e)) from e
+    return _finish(r, _KINDS[kind][2])
 
 
 def write_envelope(path, value) -> None:

@@ -1,5 +1,8 @@
 """Bit-packed GF(2) linear algebra."""
 import random
+import struct
+import sys
+import tracemalloc
 
 import pytest
 
@@ -24,9 +27,11 @@ from codeibi import (
     mat_vec_mul,
     perm_matrix,
     permute_columns,
+    permute_support,
     random_nonsingular,
     random_permutation,
     select_columns,
+    unpermute_support,
 )
 from codeibi.wirecli import decode_response_payload, encode_response_payload
 
@@ -337,3 +342,79 @@ def test_bit_planes_of_nothing_and_of_a_ragged_run():
         bit_planes(b"\x01\x02\x03", 2, 9)
     with pytest.raises(DimensionMismatch):
         bit_planes(b"\x01\x02", 2, 17)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4096, 65536])
+def test_permutation_words_are_the_big_endian_16_bit_map(n):
+    p = random_permutation(n, random.Random(53 + n))
+    assert p.words == struct.pack(f">{n}H", *p.map)
+    assert p.n == n and tuple(p.images()) == p.map
+    assert Permutation.from_words(p.words) == p == Permutation(p.map)
+    assert hash(p) == hash(Permutation.from_words(p.words))
+
+
+def test_permutation_holds_two_bytes_an_entry():
+    n = 4096
+    rng = random.Random(59)
+    random_permutation(n, rng)  # the shared index tuple exists before tracing
+    assert sys.getsizeof(random_permutation(n, rng).words) <= 2 * n + 64
+    tracemalloc.start()
+    try:
+        kept = [random_permutation(n, rng) for _ in range(16)]
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current <= 16 * (2 * n + 256), current  # the object and the list besides the words
+    assert Permutation.__slots__ == ("words",) and len(kept) == 16
+
+
+def test_scatter_matches_bitwise_definition_on_65536_points():
+    n = 1 << 16
+    rng = random.Random(61)
+    p = random_permutation(n, rng)
+    images = p.map
+    for v in (BitVector.random(n, rng), BitVector.random_weight(n, 9, rng), BitVector.zeros(n)):
+        moved = apply_permutation(p, v)
+        before, after = (format(u.bits, f"0{n}b")[::-1] for u in (v, moved))
+        assert all(after[images[i]] == before[i] for i in range(n))
+        assert apply_inverse_permutation(p, moved) == v
+    sparse = BitVector.random_weight(n, 9, rng)
+    assert permute_support(p, sparse) == apply_permutation(p, sparse)
+    assert unpermute_support(p, sparse) == apply_inverse_permutation(p, sparse)
+
+
+def test_support_moves_match_the_scatter_and_the_gather():
+    rng = random.Random(67)
+    for n in (1, 5, 64, 4096):
+        p = random_permutation(n, rng)
+        for w in (0, 1, min(n, 9), n):
+            v = BitVector.random_weight(n, w, rng)
+            assert permute_support(p, v) == apply_permutation(p, v)
+            assert unpermute_support(p, v) == apply_inverse_permutation(p, v)
+    for move in (permute_support, unpermute_support):
+        with pytest.raises(DimensionMismatch):
+            move(p, BitVector.zeros(n + 1))
+    # the words 0x0001, 0x0000 hold the bytes 01 00, the word 256, one byte in
+    p = Permutation((1, 0, *range(2, 512)))
+    v = BitVector.from_support(512, [0, 256, 511])
+    assert p.words.index(struct.pack(">H", 256)) == 1
+    assert unpermute_support(p, v) == apply_inverse_permutation(p, v) == BitVector.from_support(512, [1, 256, 511])
+
+
+def test_words_that_are_no_permutation_are_refused():
+    ragged, repeated, too_high, too_long = b"\x00", b"\x00\x01\x00\x01\x00\x00", b"\x00\x01\x00\x02", bytes(2 << 16) + bytes(2)
+    for words in (ragged, repeated, too_high, too_long):
+        with pytest.raises(ParameterError):
+            Permutation.from_words(words)
+    assert Permutation.from_words(b"").n == 0
+    assert Permutation.from_words(b"\x00\x01\x00\x00").map == (1, 0)
+
+
+def test_permutation_past_16_bits_packs_32_bit_words():
+    n = (1 << 16) + 1
+    p = Permutation(range(n - 1, -1, -1))
+    assert p.n == n and len(p.words) == 4 * n
+    assert p.words[:4] == struct.pack(">I", n - 1)
+    assert p.inverse() == p and p.map[:2] == (n - 1, n - 2)
+    v = BitVector.from_support(n, [0, n - 2])
+    assert apply_permutation(p, v) == permute_support(p, v) == BitVector.from_support(n, [n - 1, 1])

@@ -848,3 +848,35 @@ def test_ibs_sign_command_encodes_its_signature_once(tmp_path, monkeypatch, caps
                  "--msg-file", str(msg), "--seed", "66", "--out", str(sig)]) == 0
     assert calls == ["IbsSignature"]
     assert f"bytes={sig.stat().st_size}" in capsys.readouterr().out.split()
+
+
+def test_response_decoder_reports_every_bad_field_as_malformed():
+    # a repeated or out-of-range word raised ParameterError, and a set padding
+    # bit RangeError, though decode() reports both as MalformedEnvelope
+    n = 5
+    vec = struct.pack(">I", n) + b"\x00"
+
+    def response(*words):
+        return b"\x00" + vec + struct.pack(f">I{len(words)}H", len(words), *words)
+
+    assert decode_response_payload(response(4, 3, 2, 1, 0)).perm == Permutation((4, 3, 2, 1, 0))
+    for bad in (response(0, 1, 2, 3, 3), response(0, 1, 2, 3, 5)):
+        with pytest.raises(MalformedEnvelope):
+            decode_response_payload(bad)
+    with pytest.raises(MalformedEnvelope):
+        decode_response_payload(b"\x02" + struct.pack(">I", n) + b"\xff" + vec)
+
+
+def test_decoded_msk_and_response_refuse_a_repeated_word_and_a_word_equal_to_n(system):
+    p = system["msk"].nied_sk.p
+    blob, n, words = encode(system["msk"]), p.n, p.words
+    assert blob.endswith(struct.pack(">I", n) + words)  # P goes on the wire as its own words, last
+    resp = next(rt.response for rt in system["transcript"].rounds if rt.response.b in (0, 1))
+    payload = encode_response_payload(resp)
+    assert payload.endswith(resp.perm.words) and decode_response_payload(payload) == resp
+    for bad in (words[2:4] + words[2:], struct.pack(">H", n) + words[2:]):
+        with pytest.raises(MalformedEnvelope):
+            decode(blob[: -2 * n] + bad)
+        with pytest.raises(MalformedEnvelope):
+            decode_response_payload(payload[: -2 * n] + bad)
+
