@@ -1,12 +1,12 @@
 """Dense linear algebra over GF(2) with int-packed rows and vectors.
 
 A vector of length n lives in one Python int; bit i is coordinate i,
-and bit (i mod 8) of byte i//8 when packed.  A permutation lives in the
-bytes that Stern hashes and sends, its images as big-endian 16-bit
-words, 2 bytes an entry.  Applying one is one scatter of an int's
-'0'/'1' digits to its images; its inverse and column picks move bits by
-one gather over such a string.  A run of packed values turns into bit
-planes one byte column at a time.
+and bit (i mod 8) of byte i//8 when packed.  A permutation, on at most
+2^16 points, lives in the bytes that Stern hashes and sends: its images
+as big-endian 16-bit words, 2 bytes an entry.  Applying one is one
+scatter of an int's '0'/'1' digits to its images; its inverse and column
+picks move bits by one gather over such a string.  A run of packed
+values turns into bit planes one byte column at a time.
 """
 from __future__ import annotations
 
@@ -285,22 +285,27 @@ def _indices(n: int) -> tuple:
     return tuple(range(n))
 
 
-def _word_code(n: int) -> str:
-    """struct code of one image on n points: 16 bits up to 2^16 points, 32 past that."""
-    return "H" if n <= 1 << 16 else "I"
+_WORD = struct.Struct(">H")  # one image of a permutation
+
+
+def _check_points(n: int) -> None:
+    """ParameterError past the 2^16 points that 16-bit images can name."""
+    if n > 1 << 16:
+        raise ParameterError(f"a permutation acts on at most 2^16 points, not {n}")
 
 
 def _pack(images) -> bytes:
-    """The images as big-endian words, one per point; struct.error if one does not fit."""
-    return struct.pack(f">{len(images)}{_word_code(len(images))}", *images)
+    """The images as big-endian 16-bit words, one per point; struct.error if one does not fit."""
+    _check_points(len(images))
+    return struct.pack(f">{len(images)}H", *images)
 
 
 class Permutation:
-    """Permutation of {0..n-1}; images()[i], like map[i], is the image of position i.
+    """Permutation of {0..n-1}, n at most 2^16; images()[i], like map[i], is the image of position i.
 
     It is held as words: the images as big-endian 16-bit words, 2 bytes
     an entry, which are the bytes a Stern commitment hashes and the wire
-    carries.  Past 2^16 points the words are 32-bit, and have no wire form.
+    carries.
     """
 
     __slots__ = ("words",)
@@ -319,8 +324,9 @@ class Permutation:
 
         Raises ParameterError unless they are a permutation's.
         """
-        if len(words) % 2 or len(words) > 2 << 16:
-            raise ParameterError(f"{len(words)} bytes are not the words of at most 2^16 points")
+        if len(words) % 2:
+            raise ParameterError(f"{len(words)} bytes are not whole 16-bit words")
+        _check_points(len(words) >> 1)
         perm = cls._unchecked(words)
         perm._check()
         return perm
@@ -349,12 +355,11 @@ class Permutation:
 
     @property
     def n(self) -> int:
-        size = len(self.words)
-        return size >> 1 if size <= 2 << 16 else size >> 2
+        return len(self.words) >> 1
 
     def images(self) -> array.array:
         """The images in native byte order, unpacked once: to read, not to keep."""
-        images = array.array(_word_code(self.n), self.words)
+        images = array.array("H", self.words)
         if sys.byteorder == "little":
             images.byteswap()
         return images
@@ -403,6 +408,7 @@ def random_permutation(n: int, rng: random.Random) -> Permutation:
     """
     if n < 1:
         raise ParameterError(f"length must be positive, got {n}")
+    _check_points(n)
     images = list(_indices(n))
     i = n - 1
     while i:
@@ -464,8 +470,7 @@ def permute_support(perm: Permutation, v: BitVector) -> BitVector:
     of n digits.
     """
     _check_length(perm, v)
-    word = struct.Struct(">" + _word_code(v.n))
-    return BitVector.from_support(v.n, (word.unpack_from(perm.words, word.size * i)[0] for i in v.support()))
+    return BitVector.from_support(v.n, (_WORD.unpack_from(perm.words, 2 * i)[0] for i in v.support()))
 
 
 def unpermute_support(perm: Permutation, v: BitVector) -> BitVector:
@@ -476,14 +481,13 @@ def unpermute_support(perm: Permutation, v: BitVector) -> BitVector:
     at a whole-word offset, with no inverse built.
     """
     _check_length(perm, v)
-    word = struct.Struct(">" + _word_code(v.n))
     positions = []
     for i in v.support():
-        needle = word.pack(i)
+        needle = _WORD.pack(i)
         at = perm.words.index(needle)
-        while at % word.size:  # the needle straddled two words
+        while at % 2:  # the needle straddled two words
             at = perm.words.index(needle, at + 1)
-        positions.append(at // word.size)
+        positions.append(at >> 1)
     return BitVector.from_support(v.n, positions)
 
 

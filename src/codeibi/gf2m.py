@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from array import array
 
-from .errors import NotInvertible, ParameterError, RangeError, ZeroInverse, ZeroOperand
+from .errors import NotInvertible, ParameterError, ZeroInverse, ZeroOperand
 
 __all__ = [
     "FieldParams",
@@ -20,7 +20,6 @@ __all__ = [
     "NEG_INF",
     "field_inv",
     "field_mul",
-    "field_pow",
     "is_irreducible",
     "least_irreducible",
     "poly_add",
@@ -198,20 +197,6 @@ def field_mul(a: int, b: int, p: FieldParams) -> int:
     if s >= p.order:
         s -= p.order
     return p.exp[s]
-
-
-def field_pow(a: int, e: int, p: FieldParams) -> int:
-    """a**e in GF(2^m), e >= 0."""
-    if e < 0:
-        raise RangeError("negative exponent")
-    r = 1
-    a &= (1 << p.m) - 1
-    while e:
-        if e & 1:
-            r = field_mul(r, a, p)
-        a = field_mul(a, a, p)
-        e >>= 1
-    return r
 
 
 def field_inv(a: int, p: FieldParams) -> int:

@@ -9,6 +9,7 @@ entries L_i^r / g(L_i).
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 from .binmat import BitMatrix, BitVector, mat_mul, mat_rank, mat_vec_mul
 from .errors import DimensionMismatch, ParameterError, Undecodable
@@ -49,8 +50,6 @@ __all__ = [
 class GoppaCode:
     """[n, k] binary Goppa code determined by (field, t, g)."""
 
-    __slots__ = ("params", "t", "support", "g", "H_bin", "n", "k", "_sqrt_z", "_lane_maps")
-
     def __init__(self, params: FieldParams, t: int, g: Gf2mPoly, H_bin: BitMatrix):
         self.params = params
         self.t = t
@@ -59,17 +58,13 @@ class GoppaCode:
         self.support = range(self.n)
         self.g = g
         self.H_bin = H_bin
-        self._sqrt_z = None
-        self._lane_maps = None
 
-    @property
+    @cached_property
     def sqrt_z(self) -> Gf2mPoly:
         """sqrt(z) mod g, made on first use; every decode takes its square root from it."""
-        if self._sqrt_z is None:
-            self._sqrt_z = poly_sqrt_mod(POLY_Z, self.g, self.params)
-        return self._sqrt_z
+        return poly_sqrt_mod(POLY_Z, self.g, self.params)
 
-    @property
+    @cached_property
     def lane_maps(self) -> tuple:
         """syndrome_poly and the square root mod g as m*t x m*t GF(2) matrices.
 
@@ -79,23 +74,21 @@ class GoppaCode:
         product of the matrix with the planes.  Made on first use, from
         the scalar functions themselves.
         """
-        if self._lane_maps is None:
-            p, t = self.params, self.t
-            r, mask = p.m * t, (1 << p.m) - 1
+        p, t = self.params, self.t
+        r, mask = p.m * t, (1 << p.m) - 1
 
-            def pack(f: Gf2mPoly) -> int:
-                return sum(c << (i * p.m) for i, c in enumerate(f.coeffs))
+        def pack(f: Gf2mPoly) -> int:
+            return sum(c << (i * p.m) for i, c in enumerate(f.coeffs))
 
-            def matrix(f) -> BitMatrix:
-                images = BitMatrix(r, r, [pack(f(1 << j)) for j in range(r)])
-                return BitMatrix(r, r, [images.column_int(i) for i in range(r)])
+        def matrix(f) -> BitMatrix:
+            images = BitMatrix(r, r, [pack(f(1 << j)) for j in range(r)])
+            return BitMatrix(r, r, [images.column_int(i) for i in range(r)])
 
-            self._lane_maps = (
-                matrix(lambda bits: syndrome_poly(self, BitVector(r, bits))),
-                matrix(lambda bits: poly_sqrt_split(
-                    Gf2mPoly([bits >> (i * p.m) & mask for i in range(t)]), self.sqrt_z, self.g, p)),
-            )
-        return self._lane_maps
+        return (
+            matrix(lambda bits: syndrome_poly(self, BitVector(r, bits))),
+            matrix(lambda bits: poly_sqrt_split(
+                Gf2mPoly([bits >> (i * p.m) & mask for i in range(t)]), self.sqrt_z, self.g, p)),
+        )
 
     def __repr__(self):
         return f"GoppaCode(m={self.params.m}, t={self.t}, n={self.n}, k={self.k})"

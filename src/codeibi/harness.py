@@ -21,7 +21,7 @@ from .binmat import BitMatrix, BitVector, gaussian_solve, mat_invert, mat_vec_mu
 from .errors import CostGuard, DimensionMismatch, RetryLimitExceeded, Singular
 from .gf2m import FieldParams
 from .ibi import UserSecretKey, Verifier, derive_identifier, extract_user_key, ibi_identify, master_keygen
-from .stern import ProverRoundState, _commit, encode_perm, stern_commit, stern_respond, verify_round
+from .stern import ProverRoundState, _commit, stern_commit, stern_respond, verify_round
 
 __all__ = [
     "CheatState",
@@ -88,7 +88,7 @@ def cheat_commit(
     if strategy is CheatStrategy.FORGE_C1:
         # commit to the syndrome the b=1 opening will exhibit
         syn = state.syn_y ^ mat_vec_mul(h, s_fake) ^ identifier
-        c1 = _commit(encode_perm(state.sigma), syn.to_bytes())
+        c1 = _commit(state.sigma.words, syn.to_bytes())
         com = dataclasses.replace(com, c1=c1)
     return CheatState(strategy, state, s_fake), com
 

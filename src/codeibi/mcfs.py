@@ -45,23 +45,9 @@ def counter_max(bits: int) -> int:
     return min(1 << bits, (1 << 64) - 1)
 
 
-def hash_to_syndrome(bits: int, msg: bytes, i: int) -> BitVector:
-    """First bits of SHA-256(DOMAIN_SYNDROME || len(msg) || msg || i), MSB first."""
-    top = counter_max(bits)
-    if not 1 <= i <= top:
-        raise RangeError(f"counter {i} outside 1..{top}")
-    h = hashlib.sha256()
-    h.update(bytes([DOMAIN_SYNDROME]))
-    h.update(len(msg).to_bytes(8, "big"))
-    h.update(msg)
-    h.update(i.to_bytes(8, "big"))
-    # digest bit j (MSB first) becomes vector bit j: take the prefix, reverse it
-    prefix = format(int.from_bytes(h.digest(), "big"), "0256b")[:bits]
-    return BitVector(bits, int(prefix[::-1], 2))
-
-
 def _hash_to_syndromes(bits: int, msg: bytes, counters: list[int]) -> list[BitVector]:
-    """hash_to_syndrome(bits, msg, i) for each i in counters, which are in range.
+    """The counter hash: for each i in counters, which are in range, the
+    first bits of SHA-256(DOMAIN_SYNDROME || len(msg) || msg || i), MSB first.
 
     The hash of the prefix is made once and copied for each counter, and
     the joined digests are formatted as one string of bits.
@@ -75,8 +61,17 @@ def _hash_to_syndromes(bits: int, msg: bytes, counters: list[int]) -> list[BitVe
         h = prefix.copy()
         h.update(i.to_bytes(8, "big"))
         digests.append(h.digest())
+    # digest bit j (MSB first) becomes vector bit j: take the prefix, reverse it
     joined = format(int.from_bytes(b"".join(digests), "big"), f"0{256 * len(counters)}b")
     return [BitVector(bits, int(joined[o : o + bits][::-1], 2)) for o in range(0, 256 * len(counters), 256)]
+
+
+def hash_to_syndrome(bits: int, msg: bytes, i: int) -> BitVector:
+    """The counter hash (_hash_to_syndromes) of one counter i in 1..counter_max(bits)."""
+    top = counter_max(bits)
+    if not 1 <= i <= top:
+        raise RangeError(f"counter {i} outside 1..{top}")
+    return _hash_to_syndromes(bits, msg, [i])[0]
 
 
 @dataclass(frozen=True)
@@ -114,11 +109,8 @@ def mcfs_sign(
         lanes = _lanes(sk.code.t, retry_cap - drawn)
         saved = rng.getstate() if lanes > 1 and not isinstance(rng, random.SystemRandom) else None
         counters = [rng.randrange(1, top + 1) for _ in range(lanes)]
-        if lanes > 1:
-            syns = _hash_to_syndromes(bits, msg, counters)
-            candidates = nied_screen(sk, syns)
-        else:
-            syns, candidates = [hash_to_syndrome(bits, msg, counters[0])], 1
+        syns = _hash_to_syndromes(bits, msg, counters)
+        candidates = nied_screen(sk, syns) if lanes > 1 else 1
         while candidates:
             low = candidates & -candidates
             candidates ^= low

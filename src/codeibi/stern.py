@@ -40,7 +40,6 @@ __all__ = [
     "Response",
     "RoundTranscript",
     "draw_challenge",
-    "encode_perm",
     "rounds_for_security",
     "stern_commit",
     "stern_respond",
@@ -105,11 +104,6 @@ class ProverRoundState:
         self.consumed = False
 
 
-def encode_perm(perm: Permutation) -> bytes:
-    """Permutation images as big-endian 16-bit words: the words it is held as."""
-    return perm.words
-
-
 def _commit(*parts: bytes) -> bytes:
     h = hashlib.sha256(bytes([DOMAIN_COMMIT]))
     for part in parts:
@@ -129,7 +123,7 @@ def stern_commit(h: BitMatrix, s: BitVector, rng: random.Random):
     # s is sparse (weight <= t for a prover), so sigma(s) moves its support
     sig_s = permute_support(sigma, s)
     com = Commitments(
-        _commit(encode_perm(sigma), syn_y.to_bytes()),
+        _commit(sigma.words, syn_y.to_bytes()),
         _commit(sig_y.to_bytes()),
         _commit((sig_y ^ sig_s).to_bytes()),
     )
@@ -172,7 +166,7 @@ def verify_round(
             if ch == 1:
                 syn ^= identifier
             opened = com.c3 if ch else com.c2
-            return com.c1 == _commit(encode_perm(resp.perm), syn.to_bytes()) and opened == _commit(
+            return com.c1 == _commit(resp.perm.words, syn.to_bytes()) and opened == _commit(
                 apply_permutation(resp.perm, resp.vec).to_bytes()
             )
         if ch == 2:

@@ -195,26 +195,17 @@ def _dec_matrix(r: _Reader) -> BitMatrix:
 
 
 def encode_response_payload(resp: Response) -> bytes:
-    if resp.b in (0, 1):
-        if resp.perm is None:
-            raise MalformedEnvelope("response lacks its permutation")
-        opened = _enc_words(resp.perm.words)
-    elif resp.b == 2:
-        if resp.vec2 is None:
-            raise MalformedEnvelope("response lacks its second vector")
-        opened = _enc_bitvec(resp.vec2)
-    else:
-        raise MalformedEnvelope(f"bad response tag {resp.b}")
+    _check_response(resp)
+    opened = _enc_words(resp.perm.words) if resp.b < 2 else _enc_bitvec(resp.vec2)
     return bytes([resp.b]) + _enc_bitvec(resp.vec) + opened
 
 
 def _dec_response(r: _Reader) -> Response:
     (b,) = r.unpack(">B")
     if b in (0, 1):
-        return Response(b, _dec_bitvec(r), perm=Permutation.from_words(_dec_words(r)))
+        return _check_response(Response(b, _dec_bitvec(r), perm=Permutation.from_words(_dec_words(r))))
     if b == 2:
-        vec = _dec_bitvec(r)
-        return Response(b, vec, vec2=_dec_bitvec(r))
+        return _check_response(Response(b, _dec_bitvec(r), vec2=_dec_bitvec(r)))
     raise MalformedEnvelope(f"bad response tag {b}")
 
 
@@ -228,6 +219,17 @@ def decode_response_payload(payload: bytes) -> Response:
 def _check_round_count(k: int, least: int) -> None:
     if not least <= k <= _MAX_ROUNDS:
         raise MalformedEnvelope(f"bad round count {k}")
+
+
+def _check_response(resp: Response) -> Response:
+    """A response tagged 0, 1 or 2 whose opened part, σ for b < 2 or the
+    second vector for b = 2, acts on its vector's points."""
+    if resp.b not in (0, 1, 2):
+        raise MalformedEnvelope(f"bad response tag {resp.b}")
+    opened = resp.perm if resp.b < 2 else resp.vec2
+    if opened is None or opened.n != resp.vec.n:
+        raise MalformedEnvelope(f"response {resp.b} opens no part on its vector's {resp.vec.n} points")
+    return resp
 
 
 def _check_round(ch: int, resp: Response) -> Response:

@@ -410,11 +410,12 @@ def test_words_that_are_no_permutation_are_refused():
     assert Permutation.from_words(b"\x00\x01\x00\x00").map == (1, 0)
 
 
-def test_permutation_past_16_bits_packs_32_bit_words():
+def test_permutation_past_16_bits_is_refused():
     n = (1 << 16) + 1
-    p = Permutation(range(n - 1, -1, -1))
-    assert p.n == n and len(p.words) == 4 * n
-    assert p.words[:4] == struct.pack(">I", n - 1)
-    assert p.inverse() == p and p.map[:2] == (n - 1, n - 2)
-    v = BitVector.from_support(n, [0, n - 2])
-    assert apply_permutation(p, v) == permute_support(p, v) == BitVector.from_support(n, [n - 1, 1])
+    with pytest.raises(ParameterError, match=r"2\^16"):
+        Permutation(range(n))
+    rng = random.Random(7)
+    state = rng.getstate()
+    with pytest.raises(ParameterError, match=r"2\^16"):
+        random_permutation(n, rng)
+    assert rng.getstate() == state  # refused before any draw

@@ -11,7 +11,6 @@ from codeibi import (
     ZeroOperand,
     field_inv,
     field_mul,
-    field_pow,
     is_irreducible,
     least_irreducible,
     poly_add,
@@ -170,19 +169,6 @@ def test_field_inv():
         for _ in range(100):
             a = rng.randrange(1, 1 << m)
             assert field_mul(a, field_inv(a, p), p) == 1
-
-
-def test_field_pow():
-    p = FieldParams(6)
-    rng = random.Random(3)
-    for _ in range(100):
-        a = rng.randrange(1, 64)
-        e = rng.randrange(0, 200)
-        expect = 1
-        for _ in range(e):
-            expect = field_mul(expect, a, p)
-        assert field_pow(a, e, p) == expect
-    assert field_pow(0, 0, p) == 1
 
 
 def test_poly_normalization_and_degree():

@@ -105,7 +105,7 @@ def test_packed_screen_matches_the_scalar_steps_lane_by_lane(code63, lanes):
 
 def test_nied_screen_makes_one_map_on_its_first_screen():
     _, sk = nied_keygen(FieldParams(6), 3, random.Random(195))
-    assert "screen_map" not in vars(sk) and sk.code._lane_maps is None
+    assert "screen_map" not in vars(sk) and "lane_maps" not in vars(sk.code)
     rng = random.Random(196)
     ys = [BitVector(sk.q.nrows, rng.getrandbits(sk.q.nrows)) for _ in range(100)]
     mask = nied_screen(sk, ys)

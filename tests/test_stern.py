@@ -13,7 +13,6 @@ from codeibi import (
     StateReuse,
     apply_permutation,
     draw_challenge,
-    encode_perm,
     gaussian_solve,
     mat_vec_mul,
     nied_keygen,
@@ -134,8 +133,8 @@ def test_b0_transcript_is_secret_free():
     h, s, identifier = setup()
     st, com = stern_commit(h, s, random.Random(80))
     resp = stern_respond(st, s, 0)
-    reconstructed = encode_perm(resp.perm) + resp.vec.to_bytes()
-    again = encode_perm(st.sigma) + st.y.to_bytes()
+    reconstructed = resp.perm.words + resp.vec.to_bytes()
+    again = st.sigma.words + st.y.to_bytes()
     assert reconstructed == again
     assert verify_round(h, identifier, com, 0, resp, s.weight())
 

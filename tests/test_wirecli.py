@@ -504,14 +504,26 @@ def test_word_arrays_outside_16_bits_are_malformed(system):
     with pytest.raises(MalformedEnvelope):
         encode(wide_msk)
     n = (1 << 16) + 1
-    long_resp = Response(0, BitVector.zeros(n), perm=Permutation(range(n)))
-    with pytest.raises(MalformedEnvelope):
-        encode_response_payload(long_resp)
-    sig = system["ibs"]
-    with pytest.raises(MalformedEnvelope):
-        encode(dataclasses.replace(sig, challenges=(0,) + sig.challenges[1:], responses=(long_resp,) + sig.responses[1:]))
     with pytest.raises(MalformedEnvelope):
         decode_response_payload(b"\x00" + struct.pack(">I", 8) + b"\x00" + struct.pack(">I", n))
+
+
+def test_a_response_whose_parts_act_on_different_point_counts_is_malformed(system):
+    short_sigma = Response(0, BitVector.zeros(5), perm=Permutation(range(4)))
+    short_vec2 = Response(2, BitVector.zeros(5), vec2=BitVector.zeros(4))
+    for resp in (short_sigma, short_vec2):
+        with pytest.raises(MalformedEnvelope, match="opens no part"):
+            encode_response_payload(resp)
+    vec = struct.pack(">I", 5) + b"\x00"
+    for payload in (b"\x00" + vec + struct.pack(">I", 4) + Permutation(range(4)).words,
+                    b"\x02" + vec + struct.pack(">I", 4) + b"\x00"):
+        with pytest.raises(MalformedEnvelope, match="opens no part"):
+            decode_response_payload(payload)
+    sig = system["ibs"]
+    ch = sig.challenges[0]
+    bad = dataclasses.replace(short_vec2 if ch == 2 else short_sigma, b=ch)
+    with pytest.raises(MalformedEnvelope, match="opens no part"):
+        encode(dataclasses.replace(sig, responses=(bad,) + sig.responses[1:]))
 
 
 def test_many_round_session_does_not_wait_on_delayed_acks(system):
