@@ -34,7 +34,6 @@ __all__ = [
     "perm_matrix",
     "permute_columns",
     "permute_support",
-    "random_nonsingular",
     "random_permutation",
     "select_columns",
     "unpermute_support",
@@ -262,16 +261,6 @@ def gaussian_solve(mat: BitMatrix, y: BitVector) -> BitVector:
         if aug[row] >> n:
             x |= 1 << col
     return BitVector(n, x)
-
-
-def random_nonsingular(dim: int, rng: random.Random) -> BitMatrix:
-    """Uniform invertible dim x dim matrix, by rejection sampling."""
-    if dim < 1:
-        raise ParameterError(f"dimension must be positive, got {dim}")
-    while True:
-        m = BitMatrix(dim, dim, [rng.getrandbits(dim) for _ in range(dim)])
-        if mat_rank(m) == dim:
-            return m
 
 
 @functools.lru_cache(maxsize=4)

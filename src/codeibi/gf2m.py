@@ -355,16 +355,17 @@ def sliced_inv(a: list[int], p: FieldParams) -> list[int]:
     return sliced_sqr(r, p)
 
 
-def poly_eval_all(f: Gf2mPoly, p: FieldParams, points: list[int] | None = None) -> list[int]:
+def poly_eval_all(f: Gf2mPoly, p: FieldParams, points: list[int] | None = None, n: int | None = None) -> list[int]:
     """f at all 2^m points at once, bit-sliced: bit i of plane k is bit k of f(x_i).
 
     x_i is the element at position i of the bit-sliced points, by default
-    p.points, where x_i = i.  One Horner step multiplies the running planes
-    by the points and adds the next coefficient to every position.
+    p.points, where x_i = i; n of them, by default all 2^m.  One Horner
+    step multiplies the running planes by the points and adds the next
+    coefficient to every position.
     """
     if points is None:
         points = p.points
-    ones = (1 << (1 << p.m)) - 1
+    ones = (1 << (n or 1 << p.m)) - 1
     acc = [0] * p.m
     for c in reversed(f.coeffs):
         acc = sliced_mul(acc, points, p)

@@ -105,23 +105,24 @@ def _check_code_params(m: int, t: int) -> None:
 
 
 def _assemble_parity(
-    params: FieldParams, t: int, g: Gf2mPoly, points: list[int] | None = None
+    params: FieldParams, t: int, g: Gf2mPoly, points: list[int] | None = None, n: int | None = None
 ) -> BitMatrix:
     """GF(2) expansion of the t x n matrix with entries L_i^r / g(L_i).
 
     The entries of each power r are computed bit-sliced, all n at once, so
     each of their m bit planes is one row as it stands.  L_i is the element
     at position i of the bit-sliced points, by default params.points, the
-    code's support; points permuted by P give H_bin @ P.
+    code's support; points permuted by P give H_bin @ P, and the first n
+    of them its first n columns.
     """
     if points is None:
         points = params.points
-    entries = sliced_inv(poly_eval_all(g, params, points), params)
+    entries = sliced_inv(poly_eval_all(g, params, points, n), params)
     rows = list(entries)
     for _ in range(1, t):
         entries = sliced_mul(entries, points, params)
         rows += entries
-    return BitMatrix(params.m * t, 1 << params.m, rows)
+    return BitMatrix(params.m * t, n or 1 << params.m, rows)
 
 
 def code_from_poly(params: FieldParams, t: int, g: Gf2mPoly) -> GoppaCode:

@@ -2,7 +2,7 @@
 
 The authority's master key is a Niederreiter key pair.  A user's secret
 key is a hash-and-retry signature on their identity string: a low-weight
-s whose scrambled syndrome equals hash(identity, j) for the counter j
+s whose public syndrome equals hash(identity, j) for the counter j
 found during extraction.  Holding s, the user runs the zero-knowledge
 rounds against that hashed identifier (identification), or compiles the
 rounds into a signature by deriving the challenges from a hash over all
@@ -124,7 +124,13 @@ def extract_user_key(
     rng: random.Random,
     retry_cap: int | None = None,
 ) -> UserSecretKey:
-    """Authority-side key issuance: sign the identity string."""
+    """Authority-side key issuance: sign the identity string.
+
+    Raises ParameterError, before any draw from rng, unless mpk's h_tilde
+    is the one msk determines; on keygen's own pair it is the same object.
+    """
+    if mpk.nied_pk.h_tilde != msk.nied_sk.h_tilde:
+        raise ParameterError("mpk is not the one this msk determines")
     sig = mcfs_sign(msk.nied_sk, identity, rng, retry_cap)
     if not mcfs_verify(mpk.nied_pk, identity, sig):
         raise CodeIbiError("extracted key fails its own identity equation")

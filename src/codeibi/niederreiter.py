@@ -1,13 +1,16 @@
-"""Niederreiter trapdoor: syndrome encryption behind a scrambled parity check.
+"""Niederreiter trapdoor: syndrome encryption under a systematic parity check.
 
-The public matrix is h_tilde = Q @ H_bin @ P for a secret nonsingular Q
-and a secret support permutation P.  Column j of H_bin @ P is the parity
-column of the support point P.map[j], which is the element P.map[j]
-itself, so keygen reads the m bit planes of the permuted points off
-P's words and assembles H_bin @ P there, in place of permuting the m*t
-rows of H_bin.  Encrypting a weight-t vector means publishing its
-scrambled syndrome; decrypting unscrambles, decodes, and moves the
-error's few set bits back through P.
+The secret key is a Goppa code and a support permutation P.  Column j of
+H_bin @ P is the parity column of the support point P.map[j], which is
+the element P.map[j] itself, so H_bin @ P is assembled at the permuted
+points, read as m bit planes off P's words, in place of permuting the
+m*t rows of H_bin.  P puts r = m*t independent columns first, so the
+left r x r block A of H_bin @ P is invertible, and the public matrix is
+h_tilde = A^-1 @ H_bin @ P = [I | T]: the one form that every row
+scramble of H_bin @ P reduces to, so a scramble would hide nothing.
+Encrypting a weight-t vector means publishing its syndrome under
+h_tilde; decrypting multiplies by A, decodes, and moves the error's few
+set bits back through P.
 """
 from __future__ import annotations
 
@@ -20,15 +23,14 @@ from .binmat import (
     BitMatrix,
     BitVector,
     Permutation,
+    _echelon,
     bit_planes,
-    mat_invert,
     mat_mul,
     mat_vec_mul,
-    random_nonsingular,
     random_permutation,
     unpermute_support,
 )
-from .errors import DimensionMismatch, WeightError
+from .errors import DimensionMismatch, Singular, WeightError
 from .gf2m import FieldParams
 from .goppa import GoppaCode, _assemble_parity, _screen_key_equation, build_goppa, patterson_decode
 
@@ -51,60 +53,73 @@ class NiedPublicKey:
 
 @dataclass(frozen=True)
 class NiedSecretKey:
-    q: BitMatrix
     code: GoppaCode
     p: Permutation
-    q_inv: BitMatrix = field(init=False, repr=False, compare=False)
+    a: BitMatrix = field(init=False, repr=False, compare=False)
+    h_tilde: BitMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # once per key, not per decrypt; a singular q raises Singular here
-        object.__setattr__(self, "q_inv", mat_invert(self.q))
+        # once per key: A is the left r x r block of H_bin @ P, and Gauss-Jordan on
+        # those r columns takes H_bin @ P to A^-1 @ H_bin @ P = [I | T], which keygen
+        # publishes as it stands; a singular A raises Singular here
+        hp = _parity_at(self.code, self.p, self.code.n)
+        r, rows = hp.nrows, list(hp.rows)
+        rank = len(_echelon(rows, r))
+        if rank < r:
+            raise Singular(f"the first {r} columns of H_bin @ P have rank {rank}")
+        object.__setattr__(self, "a", BitMatrix(r, r, [row & ((1 << r) - 1) for row in hp.rows]))
+        object.__setattr__(self, "h_tilde", BitMatrix(r, hp.ncols, rows))
 
     @cached_property
     def screen_map(self) -> BitMatrix:
-        """Q^-1 followed by syndrome_poly, one r x r GF(2) matrix; made on the first screen."""
-        return mat_mul(self.code.lane_maps[0], self.q_inv)
+        """A followed by syndrome_poly, one r x r GF(2) matrix; made on the first screen."""
+        return mat_mul(self.code.lane_maps[0], self.a)
 
 
-def nied_keygen(
-    params: FieldParams,
-    t: int,
-    rng: random.Random,
-    q: BitMatrix | None = None,
-    p: Permutation | None = None,
-):
-    """Key pair over a fresh Goppa code.
+def nied_keygen(params: FieldParams, t: int, rng: random.Random, p: Permutation | None = None):
+    """Key pair over a fresh Goppa code, its public matrix in systematic form.
 
-    q and p are injectable for tests (identity scramble exposes H_bin).
+    g is drawn by build_goppa, then P from the same rng unless p is given
+    (tests inject it).  _echelon picks the greedy first r = m*t
+    independent columns of H_bin @ P from its first r + 8, a width that is
+    doubled in the rare case their rank falls short.  Unless they are
+    columns 0 .. r-1, P is reordered: their positions first, then every
+    other position in ascending order.  P is not redrawn, as its left
+    r x r block is invertible with probability only about 0.29, and each
+    redraw costs a permutation of all 2^m points.
     """
     code = build_goppa(params, t, rng)
-    r = code.n - code.k
-    if q is None:
-        q = random_nonsingular(r, rng)
     if p is None:
         p = random_permutation(code.n, rng)
-    if q.nrows != r or q.ncols != r:
-        raise DimensionMismatch(f"Q must be {r}x{r}")
-    if p.n != code.n:
-        raise DimensionMismatch(f"P must act on {code.n} points")
-    h_tilde = mat_mul(q, _assemble_parity(params, t, code.g, _permuted_points(p, params.m)))
-    return NiedPublicKey(h_tilde, t), NiedSecretKey(q, code, p)
+    r = code.n - code.k
+    width = min(r + 8, code.n)
+    while len(pivots := _echelon(list(_parity_at(code, p, width).rows), width)) < r:
+        width = min(2 * width, code.n)
+    if pivots != list(range(r)):
+        rest = sorted(set(range(width)).difference(pivots))
+        words = p.words
+        p = Permutation._unchecked(b"".join(words[2 * j : 2 * j + 2] for j in pivots + rest) + words[2 * width :])
+    sk = NiedSecretKey(code, p)
+    return NiedPublicKey(sk.h_tilde, t), sk
 
 
-def _permuted_points(p: Permutation, m: int) -> list[int]:
-    """The m bit planes of the support points permuted by p.
+def _parity_at(code: GoppaCode, p: Permutation, n: int) -> BitMatrix:
+    """The first n columns of H_bin @ P, assembled at P's first n points.
 
     The point at position j is p.map[j] itself (x_i = i), of at most 16
-    bits, so the planes are those of p's words, each swapped from
+    bits, so its m bit planes are those of p's words, each swapped from
     big-endian to the little-endian order bit_planes reads.
     """
-    images = array("H", p.words)
+    if p.n != code.n:
+        raise DimensionMismatch(f"P must act on {code.n} points")
+    images = array("H", p.words[: 2 * n])
     images.byteswap()
-    return bit_planes(images.tobytes(), 2, m)
+    points = bit_planes(images.tobytes(), 2, code.params.m)
+    return _assemble_parity(code.params, code.t, code.g, points, n)
 
 
 def nied_encrypt(pk: NiedPublicKey, x: BitVector) -> BitVector:
-    """Scrambled syndrome of a weight-t plaintext."""
+    """Syndrome of a weight-t plaintext under h_tilde."""
     if x.n != pk.n:
         raise DimensionMismatch(f"plaintext length {x.n}, expected {pk.n}")
     if x.weight() != pk.t:
@@ -113,14 +128,14 @@ def nied_encrypt(pk: NiedPublicKey, x: BitVector) -> BitVector:
 
 
 def nied_decrypt(sk: NiedSecretKey, y: BitVector) -> BitVector:
-    """Recover the weight-<=t vector whose scrambled syndrome is y.
+    """Recover the weight-<=t vector whose syndrome under h_tilde is y.
 
     Raises Undecodable (from the decoder) when y is not a valid ciphertext.
     """
     r = sk.code.n - sk.code.k
     if y.n != r:
         raise DimensionMismatch(f"ciphertext length {y.n}, expected {r}")
-    inner = mat_vec_mul(sk.q_inv, y)
+    inner = mat_vec_mul(sk.a, y)
     e = patterson_decode(sk.code, inner)
     return unpermute_support(sk.p, e)
 

@@ -31,6 +31,7 @@ from .errors import (
     ParameterError,
     ProtocolViolation,
     RangeError,
+    Singular,
     TruncatedInput,
     Undecodable,
     VersionMismatch,
@@ -61,10 +62,8 @@ __all__ = [
     "KIND_MCFS_SIG",
     "KIND_MPK",
     "KIND_MSK",
-    "KIND_PARAMS",
     "KIND_TRANSCRIPT",
     "KIND_USK",
-    "CodeParams",
     "VerifierServer",
     "decode",
     "encode",
@@ -75,7 +74,7 @@ __all__ = [
 ]
 
 MAGIC = b"CIBI"
-VERSION = 0x01
+VERSION = 0x02
 
 KIND_MPK = 0x01
 KIND_MSK = 0x02
@@ -83,7 +82,6 @@ KIND_USK = 0x03
 KIND_MCFS_SIG = 0x04
 KIND_IBS_SIG = 0x05
 KIND_TRANSCRIPT = 0x06
-KIND_PARAMS = 0x07
 
 MSG_HELLO = 0x10
 MSG_COMMIT = 0x11
@@ -96,15 +94,6 @@ _HEADER_SIZE = struct.calcsize(_HEADER)
 _MAX_WIRE_PAYLOAD = 1 << 28  # frames read by a caller that names no cap
 _MAX_WORDS = 1 << 16  # entries in a permutation or polynomial
 _MAX_ROUNDS = 1 << 20  # rounds in a signature or transcript
-
-
-@dataclasses.dataclass(frozen=True)
-class CodeParams:
-    """Standalone parameter triple, shippable as its own envelope."""
-
-    m: int
-    modulus: int
-    t: int
 
 
 class _Reader:
@@ -265,12 +254,12 @@ def _check_public_key(m: int, t: int, h: BitMatrix) -> None:
         raise MalformedEnvelope("public key dimensions are inconsistent")
 
 
-def _check_secret_key(m: int, t: int, q: BitMatrix, p: Permutation) -> None:
-    """Q and P of an (m, t) code: Q is m*t square and P acts on 2^m points.
+def _check_secret_key(m: int, t: int, p: Permutation) -> None:
+    """P of an (m, t) code acts on 2^m points.
 
     No mpk has a syndrome longer than one hash, so no usable msk does either.
     """
-    if q.nrows != m * t or q.ncols != m * t or p.n != 1 << m:
+    if p.n != 1 << m:
         raise MalformedEnvelope("secret key dimensions are inconsistent")
     if m * t > MAX_SYNDROME_BITS:
         raise MalformedEnvelope(f"m*t={m * t} exceeds the {MAX_SYNDROME_BITS}-bit syndrome")
@@ -314,12 +303,12 @@ def _dec_mpk_body(r: _Reader) -> MasterPublicKey:
 def _enc_msk_body(msk: MasterSecretKey, out: io.BytesIO) -> None:
     sk = msk.nied_sk
     code = sk.code
-    _check_secret_key(code.params.m, code.t, sk.q, sk.p)
+    _check_secret_key(code.params.m, code.t, sk.p)
     out.write(struct.pack(">BIH", code.params.m, code.params.modulus, code.t))
     # a coefficient of 2^16 or more makes struct raise, which encode() reports as MalformedEnvelope
     out.write(_enc_words(struct.pack(f">{len(code.g.coeffs)}H", *code.g.coeffs)))
-    _enc_matrix(sk.q, out)
     out.write(_enc_words(sk.p.words))
+    NiedSecretKey(code, sk.p)  # rebuilt as decode() builds it: a forged key with a singular A raises Singular
 
 
 def _dec_msk_body(r: _Reader) -> MasterSecretKey:
@@ -328,11 +317,10 @@ def _dec_msk_body(r: _Reader) -> MasterSecretKey:
     coeffs = struct.unpack(f">{len(words) // 2}H", words)
     if coeffs and coeffs[-1] == 0:
         raise MalformedEnvelope("non-normalized polynomial")
-    q = _dec_matrix(r)
     p = Permutation.from_words(_dec_words(r))
-    _check_secret_key(m, t, q, p)  # before code_from_poly, whose irreducibility test grows with t
+    _check_secret_key(m, t, p)  # before code_from_poly, whose irreducibility test grows with t
     code = code_from_poly(FieldParams(m, modulus), t, Gf2mPoly(coeffs))
-    return MasterSecretKey(NiedSecretKey(q, code, p))
+    return MasterSecretKey(NiedSecretKey(code, p))
 
 
 def _enc_usk_body(cred: UserCredential, out: io.BytesIO) -> None:
@@ -411,14 +399,6 @@ def _dec_transcript_body(r: _Reader) -> IbiTranscript:
     return IbiTranscript(identity, j, w, bool(accepted), tuple(rounds))
 
 
-def _enc_params_body(p: CodeParams, out: io.BytesIO) -> None:
-    out.write(struct.pack(">BIH", p.m, p.modulus, p.t))
-
-
-def _dec_params_body(r: _Reader) -> CodeParams:
-    return CodeParams(*r.unpack(">BIH"))
-
-
 # kind -> (value type, body encoder, body decoder)
 _KINDS = {
     KIND_MPK: (MasterPublicKey, _enc_mpk_body, _dec_mpk_body),
@@ -427,7 +407,6 @@ _KINDS = {
     KIND_MCFS_SIG: (McfsSignature, _enc_mcfs_body, _dec_mcfs_body),
     KIND_IBS_SIG: (IbsSignature, _enc_ibs_body, _dec_ibs_body),
     KIND_TRANSCRIPT: (IbiTranscript, _enc_transcript_body, _dec_transcript_body),
-    KIND_PARAMS: (CodeParams, _enc_params_body, _dec_params_body),
 }
 
 
@@ -444,8 +423,8 @@ def encode(value, kind: int | None = None) -> bytes:
     out.seek(_HEADER_SIZE)
     try:
         _KINDS[actual][1](value, out)
-    except struct.error as e:
-        raise MalformedEnvelope(f"field out of range: {e}") from e
+    except (struct.error, Singular) as e:  # a field out of range, or an msk that cannot decrypt
+        raise MalformedEnvelope(f"{type(e).__name__}: {e}") from e
     body_len = out.tell() - _HEADER_SIZE
     out.seek(0)
     out.write(struct.pack(_HEADER, MAGIC, VERSION, actual, body_len))

@@ -15,7 +15,6 @@ from codeibi import (
     BitVector,
     CheatStrategy,
     CodeIbiError,
-    CodeParams,
     FieldParams,
     GameConfig,
     Undecodable,
@@ -245,7 +244,6 @@ def test_09_wire_session_matches_in_process():
         mcfs_sign(msk.nied_sk, b"raw", rng),
         ibs_sign(usk, mpk, b"alice", b"msg", rng),
         wire_tr,
-        CodeParams(5, 0x25, 2),
     ]
     canonical = all(encode(decode(encode(v))) == encode(v) for v in values)
     check(

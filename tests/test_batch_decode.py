@@ -132,11 +132,11 @@ def test_batched_extraction_matches_the_scalar_loop():
 # Under key125 and random.Random(k), message b"cap-k" first decodes at these
 # attempts: inside the first batch of 2 * 5! = 240 counters, in the
 # second, in the third, and past three batches.
-WINS_AT = {0: 55, 7: 350, 34: 506, 1475: 796}
+WINS_AT = {7: 53, 20: 416, 34: 546, 610: 807}
 
 
-@pytest.mark.parametrize("cap,ks", [(1, (0, 7)), (2, (0, 7)), (239, (0, 7)), (240, (0, 7)),
-                                    (241, (0, 7)), (720, (34, 1475))])
+@pytest.mark.parametrize("cap,ks", [(1, (7, 20)), (2, (7, 20)), (239, (7, 20)), (240, (7, 20)),
+                                    (241, (7, 20)), (720, (34, 610))])
 def test_retry_caps_stop_where_the_scalar_loop_stops(key125, cap, ks):
     _, sk = key125
     for k in ks:
@@ -159,7 +159,7 @@ def test_small_t_and_short_tails_draw_one_counter_at_a_time(key125, monkeypatch)
     screened = []
     monkeypatch.setattr(mcfs, "nied_screen", lambda sk, ys: screened.append(len(ys)) or (1 << len(ys)) - 1)
     with pytest.raises(RetryLimitExceeded):
-        mcfs.mcfs_sign(sk, b"cap-7", random.Random(7), retry_cap=240 + MIN_LANES - 1)
+        mcfs.mcfs_sign(sk, b"cap-20", random.Random(20), retry_cap=240 + MIN_LANES - 1)
     assert screened == [240]
     _, small = nied_keygen(FieldParams(10), 3, random.Random(192))
     mcfs.mcfs_sign(small, b"t=3", random.Random(8))

@@ -1,10 +1,9 @@
-"""Trapdoor encryption round trips and key disguise plumbing."""
+"""Trapdoor encryption round trips and the systematic public key."""
 import random
 
 import pytest
 
 from codeibi import (
-    BitMatrix,
     BitVector,
     DimensionMismatch,
     FieldParams,
@@ -13,6 +12,8 @@ from codeibi import (
     Singular,
     Undecodable,
     WeightError,
+    build_goppa,
+    mat_invert,
     mat_mul,
     mat_rank,
     mat_vec_mul,
@@ -20,6 +21,8 @@ from codeibi import (
     nied_encrypt,
     nied_keygen,
     permute_columns,
+    random_permutation,
+    select_columns,
 )
 
 
@@ -27,25 +30,88 @@ def keys(m, t, seed, **kw):
     return nied_keygen(FieldParams(m), t, random.Random(seed), **kw)
 
 
+def greedy_columns(h, r):
+    """The first r columns of h, left to right, that are independent of those before them."""
+    picked = []
+    for j in range(h.ncols):
+        if len(picked) < r and mat_rank(select_columns(h, picked + [j])) > len(picked):
+            picked.append(j)
+    return picked
+
+
+def reordered(p, pivots):
+    """p with its images at pivots first, then the rest in ascending position."""
+    images = list(p.images())
+    return Permutation([images[j] for j in pivots + [j for j in range(p.n) if j not in pivots]])
+
+
+def flat_points(code, count):
+    """count support points whose columns of H_bin lie in one hyperplane."""
+    cols = [code.H_bin.column_int(j) for j in range(code.n)]
+    on = [[j for j, c in enumerate(cols) if (d & c).bit_count() % 2 == 0] for d in range(1, 1 << code.H_bin.nrows)]
+    return next(points for points in on if len(points) >= count)[:count]
+
+
 def test_keygen_shapes():
     pk, sk = keys(5, 2, 1)
     assert pk.n == 32 and pk.k == 22 and pk.t == 2
     assert pk.h_tilde.nrows == 10 and pk.h_tilde.ncols == 32
-    assert mat_rank(pk.h_tilde) == 10
-    assert mat_mul(sk.q, sk.q_inv) == BitMatrix.identity(10)
+    assert mat_rank(pk.h_tilde) == 10 and mat_rank(sk.a) == 10
+    assert pk.h_tilde is sk.h_tilde  # assembled once, for both keys
 
 
 def test_identity_disguise_hook():
-    r = 10
-    pk, sk = keys(5, 2, 2, q=BitMatrix.identity(r), p=Permutation(tuple(range(32))))
-    assert pk.h_tilde == sk.code.H_bin
+    # under seed 2's g, H_bin's own first 10 columns are independent, so an injected
+    # identity P stays, and h_tilde is the systematic form of H_bin itself
+    pk, sk = keys(5, 2, 2, p=Permutation(range(32)))
+    assert sk.p == Permutation(range(32))
+    assert pk.h_tilde == mat_mul(mat_invert(select_columns(sk.code.H_bin, range(10))), sk.code.H_bin)
 
 
-@pytest.mark.parametrize("m,t", [(5, 2), (10, 3), (12, 5), (16, 9)])
+def test_injected_permutation_with_dependent_first_columns_is_reordered():
+    # under seed 1's g, H_bin's first 10 columns have rank 8
+    code = build_goppa(FieldParams(5), 2, random.Random(1))
+    assert mat_rank(select_columns(code.H_bin, range(10))) == 8
+    pk, sk = keys(5, 2, 1, p=Permutation(range(32)))
+    assert sk.p == reordered(Permutation(range(32)), greedy_columns(code.H_bin, 10))
+    assert sk.p != Permutation(range(32))
+    assert pk.h_tilde == mat_mul(mat_invert(sk.a), permute_columns(sk.code.H_bin, sk.p))
+
+
+@pytest.mark.parametrize("seed,moved", [(1, True), (5, False)])
+def test_keygen_draws_p_after_g_and_reorders_it_only_when_its_left_block_is_singular(seed, moved):
+    rng = random.Random(seed)
+    code = build_goppa(FieldParams(5), 2, rng)
+    drawn = random_permutation(32, rng)
+    pivots = greedy_columns(permute_columns(code.H_bin, drawn), 10)
+    assert (pivots != list(range(10))) == moved
+    again = random.Random(seed)
+    _, sk = nied_keygen(FieldParams(5), 2, again)
+    assert sk.p == reordered(drawn, pivots)
+    assert again.getstate() == rng.getstate()  # no draw after P's
+
+
+def test_keygen_widens_its_column_search_when_r_plus_8_columns_fall_short():
+    # 18 points whose columns lie in one hyperplane: the first r + 8 = 18 columns
+    # of H_bin @ P have rank at most 9, so keygen doubles its search to all 32
+    code = build_goppa(FieldParams(5), 2, random.Random(3))
+    flat = flat_points(code, 18)
+    p = Permutation(flat + [j for j in range(32) if j not in flat])
+    pk, sk = keys(5, 2, 3, p=p)
+    pivots = greedy_columns(permute_columns(code.H_bin, p), 10)
+    assert pivots[-1] >= 18
+    assert sk.p == reordered(p, pivots)
+    assert pk.h_tilde == mat_mul(mat_invert(sk.a), permute_columns(sk.code.H_bin, sk.p))
+
+
+@pytest.mark.parametrize("m,t", [(5, 2), (8, 3), (10, 3), (12, 5), (16, 9)])
 def test_disguise_matches_column_gather_of_h(m, t):
-    # keygen assembles H_bin @ P at the permuted points; gathering every row of H_bin is the reference
+    # h_tilde = [I | T] = A^-1 @ H_bin @ P; keygen assembles H_bin @ P at the
+    # permuted points, and gathering every row of H_bin is the reference
     pk, sk = keys(m, t, 13)
-    assert pk.h_tilde == mat_mul(sk.q, permute_columns(sk.code.H_bin, sk.p))
+    r = m * t
+    assert [row & ((1 << r) - 1) for row in pk.h_tilde.rows] == [1 << i for i in range(r)]
+    assert pk.h_tilde == mat_mul(mat_invert(sk.a), permute_columns(sk.code.H_bin, sk.p))
 
 
 def test_distinct_seeds_distinct_keys():
@@ -117,13 +183,16 @@ def test_decrypt_dimension_guard():
         nied_decrypt(sk, BitVector.zeros(pk.n - pk.k + 1))
 
 
-def test_secret_key_inverts_its_own_scramble():
-    # q_inv is made from q when the key is built, so it cannot disagree with q
+def test_secret_key_derives_its_own_left_block():
+    # A is made from g and P when the key is built, so it cannot disagree with them
     _, sk = keys(5, 2, 12)
-    again = NiedSecretKey(sk.q, sk.code, sk.p)
-    assert again == sk and again.q_inv == sk.q_inv
-    singular = BitMatrix(10, 10, [1 << i for i in range(9)] + [1])  # rows 0 and 9 agree
+    again = NiedSecretKey(sk.code, sk.p)
+    assert again == sk and again.a == sk.a and again.h_tilde == sk.h_tilde
+    assert sk.a == select_columns(permute_columns(sk.code.H_bin, sk.p), range(10))
+    flat = flat_points(sk.code, 10)
     with pytest.raises(Singular):
-        NiedSecretKey(singular, sk.code, sk.p)
-    with pytest.raises(Singular):
-        keys(5, 2, 12, q=singular)
+        NiedSecretKey(sk.code, Permutation(flat + [j for j in range(32) if j not in flat]))
+    with pytest.raises(DimensionMismatch):
+        NiedSecretKey(sk.code, Permutation(range(16)))
+    with pytest.raises(DimensionMismatch):
+        keys(5, 2, 12, p=Permutation(range(16)))

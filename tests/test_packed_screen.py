@@ -107,11 +107,11 @@ def test_nied_screen_makes_one_map_on_its_first_screen():
     _, sk = nied_keygen(FieldParams(6), 3, random.Random(195))
     assert "screen_map" not in vars(sk) and "lane_maps" not in vars(sk.code)
     rng = random.Random(196)
-    ys = [BitVector(sk.q.nrows, rng.getrandbits(sk.q.nrows)) for _ in range(100)]
+    ys = [BitVector(sk.a.nrows, rng.getrandbits(sk.a.nrows)) for _ in range(100)]
     mask = nied_screen(sk, ys)
-    assert sk.screen_map == mat_mul(sk.code.lane_maps[0], sk.q_inv)
-    inner = [mat_vec_mul(sk.q_inv, y).bits for y in ys]
-    assert mask == patterson_screen(sk.code, planes_of(inner, sk.q.nrows), (1 << len(ys)) - 1)
+    assert sk.screen_map == mat_mul(sk.code.lane_maps[0], sk.a)
+    inner = [mat_vec_mul(sk.a, y).bits for y in ys]
+    assert mask == patterson_screen(sk.code, planes_of(inner, sk.a.nrows), (1 << len(ys)) - 1)
 
 
 @pytest.mark.parametrize("bits", [60, 144])
@@ -152,7 +152,7 @@ def test_one_screen_makes_one_inversion(monkeypatch):
     for module in (codeibi.gf2m, codeibi.goppa):
         monkeypatch.setattr(module, "sliced_inv", lambda a, p: calls.append(1) or inv(a, p))
     rng = random.Random(206)
-    r = sk.q.nrows
+    r = sk.a.nrows
     nied_screen(sk, [BitVector(r, rng.getrandbits(r)) for _ in range(300)])
     assert len(calls) == 1
     patterson_screen(sk.code, [rng.getrandbits(300) for _ in range(r)], (1 << 300) - 1)
@@ -162,5 +162,5 @@ def test_one_screen_makes_one_inversion(monkeypatch):
 def test_an_empty_batch_screens_and_hashes_to_nothing():
     _, sk = nied_keygen(FieldParams(6), 3, random.Random(207))
     assert nied_screen(sk, []) == 0
-    assert patterson_screen(sk.code, [0] * sk.q.nrows, 0) == 0
-    assert _hash_to_syndromes(sk.q.nrows, b"alice", []) == []
+    assert patterson_screen(sk.code, [0] * sk.a.nrows, 0) == 0
+    assert _hash_to_syndromes(sk.a.nrows, b"alice", []) == []

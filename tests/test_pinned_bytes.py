@@ -14,7 +14,6 @@ import hashlib
 import random
 
 from codeibi import (
-    CodeParams,
     FieldParams,
     UserCredential,
     encode,
@@ -27,8 +26,8 @@ from codeibi import (
 
 # (m, t, rounds, seed) -> sha256 of the concatenated envelopes.
 PINNED = {
-    (10, 3, 9, 70): "5674b3eb43c054b30f2c35d6192823261f0f416ba3f154a2ca80bd395a58268b",
-    (12, 5, 7, 71): "3c4029538dd577cae94107f48cba9a780c6b030362329d516a5fc472250c4e53",
+    (10, 3, 9, 70): "0e6e1b83b8a3acc6871bf8b70c742fb883dbb6c02269d5c5150ca90cf58962df",
+    (12, 5, 7, 71): "f2a9b5280444c1b488509a311a22df5b2059d736c1299c83419ecfd299ea54a6",
 }
 
 
@@ -44,29 +43,21 @@ def seeded_digest(m: int, t: int, rounds: int, seed: int) -> str:
     return h.hexdigest()
 
 
-# Kinds the digests above do not cover, each pinned on its own.
-PINNED_KINDS = {
-    "mcfs": "fa1c76ea4cdefe4f8dacbdc4b0d3766a4fa8d74bf9e27e335261a0121b37847d",
-    "params": "c871016ca0b5ba11ab51f23c88f995983dca886ac8fdebbac32cc0eac35f66ca",
-}
+# The one kind the digests above do not cover, pinned on its own.
+PINNED_MCFS = "3ea416c94337cdca3a686395778ad41141874cffb61efdb6842fd0b35e6a3cce"
 
 
-def kind_digests() -> dict:
+def mcfs_digest() -> str:
     rng = random.Random(72)
     _, msk = master_keygen(FieldParams(10), 3, 1, rng)
-    sig = mcfs_sign(msk.nied_sk, b"pinned message", rng)
-    params = CodeParams(16, FieldParams(16).modulus, 9)
-    return {
-        "mcfs": hashlib.sha256(encode(sig)).hexdigest(),
-        "params": hashlib.sha256(encode(params)).hexdigest(),
-    }
+    return hashlib.sha256(encode(mcfs_sign(msk.nied_sk, b"pinned message", rng))).hexdigest()
 
 
 # sha256 of encode(mpk) and encode(msk) for a seeded keygen at the paper's
 # (16,9); the irreducibility test picks the Goppa polynomial g.
 PINNED_FULL_KEYGEN = (
-    "0330797d05a338dc0e4f32ab9e95d3bd2f3132e3a2dad4ab4691fa264d8380c5",
-    "9e1d73fd243df438ca3fd75c4ad49544307262a77057cb92671236ccf29dd391",
+    "a3ac25fdd4a1e7a55b8fdfb318348e1b7713990c9424d9000514a0fb45187bce",
+    "b36bb9a8d4f4a983ef106fef8690ee0eb3f062656b70d11d7af55a13ecda9fd8",
 )
 
 
@@ -78,7 +69,7 @@ def full_keygen_digests() -> tuple:
 # sha256 of encode(transcript) for a seeded (10,3) session in which a real
 # key answers for another identity.  It is refused at its tenth of 20
 # rounds, after one challenge byte of 252 or more was redrawn.
-PINNED_WRONG_KEY = "7db270e3ca50ebf4ed6264092f5b8d8d1345c4ca67580ccc6ab7191170cc51d6"
+PINNED_WRONG_KEY = "7e92fd7bd63f11b933254ba165cc01ea35f3defb3da655c8f611c1b2332febc4"
 
 
 def wrong_key_transcript():
@@ -93,8 +84,8 @@ def test_seeded_envelopes_match_pinned_digests():
         assert seeded_digest(*key) == digest, key
 
 
-def test_mcfs_and_params_envelopes_match_pinned_digests():
-    assert kind_digests() == PINNED_KINDS
+def test_mcfs_envelope_matches_pinned_digest():
+    assert mcfs_digest() == PINNED_MCFS
 
 
 def test_wrong_key_transcript_matches_pinned_digest():
@@ -107,15 +98,20 @@ def test_full_scale_keygen_matches_pinned_digests():
     assert full_keygen_digests() == PINNED_FULL_KEYGEN
 
 
+def test_full_scale_public_matrix_is_systematic():
+    mpk, _ = master_keygen(FieldParams(16), 9, 280, random.Random(1609))
+    assert [row & ((1 << 144) - 1) for row in mpk.nied_pk.h_tilde.rows] == [1 << i for i in range(144)]
+
+
 if __name__ == "__main__":
     ok = True
     for key, digest in PINNED.items():
         got = seeded_digest(*key)
         ok &= got == digest
         print(key, got, "ok" if got == digest else "MISMATCH")
-    for key, got in kind_digests().items():
-        ok &= got == PINNED_KINDS[key]
-        print(key, got, "ok" if got == PINNED_KINDS[key] else "MISMATCH")
+    got = mcfs_digest()
+    ok &= got == PINNED_MCFS
+    print("mcfs", got, "ok" if got == PINNED_MCFS else "MISMATCH")
     got = hashlib.sha256(encode(wrong_key_transcript())).hexdigest()
     ok &= got == PINNED_WRONG_KEY
     print("wrong key", got, "ok" if got == PINNED_WRONG_KEY else "MISMATCH")

@@ -17,7 +17,6 @@ from codeibi import (
     BitMatrix,
     BitVector,
     ChannelError,
-    CodeParams,
     Commitments,
     FieldParams,
     Gf2mPoly,
@@ -31,6 +30,7 @@ from codeibi import (
     Permutation,
     ProtocolViolation,
     Response,
+    Singular,
     TruncatedInput,
     UserCredential,
     UserSecretKey,
@@ -75,7 +75,6 @@ def system():
     sig = ibs_sign(usk, mpk, b"alice", b"hello", rng)
     mcfs = mcfs_sign(msk.nied_sk, b"raw message", rng)
     tr = ibi_identify(usk, mpk, b"alice", random.Random(41), random.Random(42))
-    params = CodeParams(5, 0x25, 2)
     return {
         "mpk": mpk,
         "msk": msk,
@@ -83,7 +82,6 @@ def system():
         "ibs": sig,
         "mcfs": mcfs,
         "transcript": tr,
-        "params": params,
     }
 
 
@@ -95,7 +93,6 @@ def all_values(system):
         system["mcfs"],
         system["ibs"],
         system["transcript"],
-        system["params"],
     ]
 
 
@@ -107,7 +104,7 @@ def test_canonical_roundtrip_every_kind(system):
 
 
 def test_decoded_values_compare_equal(system):
-    for key in ("mpk", "cred", "mcfs", "ibs", "transcript", "params"):
+    for key in ("mpk", "cred", "mcfs", "ibs", "transcript"):
         assert decode(encode(system[key])) == system[key], key
 
 
@@ -130,10 +127,10 @@ def test_truncation_and_trailing_garbage(system):
 
 
 def test_header_validation(system):
-    blob = bytearray(encode(system["params"]))
+    blob = bytearray(encode(system["mcfs"]))
     with pytest.raises(MalformedEnvelope):
         decode(b"XIBI" + bytes(blob[4:]))
-    bad_version = bytes(blob[:4]) + b"\x02" + bytes(blob[5:])
+    bad_version = bytes(blob[:4]) + b"\x03" + bytes(blob[5:])
     with pytest.raises(VersionMismatch):
         decode(bad_version)
     bad_kind = bytes(blob[:5]) + b"\x7f" + bytes(blob[6:])
@@ -141,6 +138,15 @@ def test_header_validation(system):
         decode(bad_kind)
     with pytest.raises(MalformedEnvelope):
         decode(bytes(blob), expect=KIND_MPK)
+
+
+def test_a_version_1_envelope_is_refused(system):
+    # an msk held a row scramble Q up to version 1; every kind moved to version 2 with it
+    for value in all_values(system):
+        blob = encode(value)
+        assert blob[4] == 2
+        with pytest.raises(VersionMismatch):
+            decode(blob[:4] + b"\x01" + blob[5:])
 
 
 def test_kind_argument_checked(system):
@@ -426,6 +432,15 @@ def test_cli_usage_and_io_errors(tmp_path, system):
                  "--out-usk", str(tmp_path / "z")]) == 3
 
 
+def test_cli_extract_refuses_another_keygens_mpk(tmp_path):
+    for name, seed in (("a", "70"), ("b", "71")):
+        assert main(["keygen", "--m", "5", "--t", "2", "--seed", seed, "--out-mpk", str(tmp_path / f"{name}.mpk"),
+                     "--out-msk", str(tmp_path / f"{name}.msk")]) == 0
+    assert main(["extract", "--msk", str(tmp_path / "a.msk"), "--mpk", str(tmp_path / "b.mpk"), "--id", "alice",
+                 "--seed", "2", "--out-usk", str(tmp_path / "alice.usk")]) == 2
+    assert not (tmp_path / "alice.usk").exists()
+
+
 def test_cli_game_estimate_oracle(tmp_path, capsys):
     assert main(["game", "--kind", "honest", "--m", "5", "--t", "2", "--rounds", "4",
                  "--trials", "10", "--seed", "68"]) == 0
@@ -468,7 +483,7 @@ def test_matrix_with_rows_but_no_columns_is_refused():
     empty = wirecli._dec_matrix(wirecli._Reader(struct.pack(">II", 0, 0)))
     assert (empty.nrows, empty.ncols) == (0, 0)
     body = struct.pack(">BHHBB", 5, 2, 9, 1, 2) + struct.pack(">II", 1 << 20, 0)
-    blob = b"CIBI" + bytes([1, KIND_MPK]) + struct.pack(">Q", len(body)) + body
+    blob = b"CIBI" + bytes([wirecli.VERSION, KIND_MPK]) + struct.pack(">Q", len(body)) + body
     assert len(blob) == 29
     with pytest.raises(MalformedEnvelope):
         decode(blob)
@@ -500,7 +515,7 @@ def test_word_arrays_outside_16_bits_are_malformed(system):
     sk = system["msk"].nied_sk
     code = sk.code
     wide_g = Gf2mPoly((1 << 16,) + code.g.coeffs[1:])
-    wide_msk = MasterSecretKey(NiedSecretKey(sk.q, GoppaCode(code.params, code.t, wide_g, code.H_bin), sk.p))
+    wide_msk = MasterSecretKey(forged_key(GoppaCode(code.params, code.t, wide_g, code.H_bin), sk.p))
     with pytest.raises(MalformedEnvelope):
         encode(wide_msk)
     n = (1 << 16) + 1
@@ -641,7 +656,7 @@ def mpk_blob(m, t, commit_domain=0x02):
     n = 1 << m
     body = struct.pack(">BHHBB", m, t, 9, 0x01, commit_domain)
     body += struct.pack(">II", m * t, n) + bytes(m * t * ((n + 7) // 8))
-    return b"CIBI" + bytes([1, KIND_MPK]) + struct.pack(">Q", len(body)) + body
+    return b"CIBI" + bytes([wirecli.VERSION, KIND_MPK]) + struct.pack(">Q", len(body)) + body
 
 
 def test_mpk_decoder_refuses_sizes_no_keygen_makes(system):
@@ -754,7 +769,23 @@ def test_transcript_encoder_refuses_what_its_decoder_refuses(system):
 def msk_fields(msk):
     """What an msk is made of; GoppaCode itself compares by identity."""
     sk = msk.nied_sk
-    return sk.q, sk.p, sk.code.params.m, sk.code.params.modulus, sk.code.t, sk.code.g
+    return sk.p, sk.code.params.m, sk.code.params.modulus, sk.code.t, sk.code.g
+
+
+def forged_key(code, p):
+    """A NiedSecretKey made past its constructor, which would refuse (code, p)."""
+    sk = object.__new__(NiedSecretKey)
+    object.__setattr__(sk, "code", code)
+    object.__setattr__(sk, "p", p)
+    return sk
+
+
+def dependent_perm(code):
+    """A support permutation whose first m*t columns of H_bin @ P lie in one hyperplane."""
+    r, cols = code.H_bin.nrows, [code.H_bin.column_int(j) for j in range(code.n)]
+    dual = next(d for d in range(1, 1 << r) if sum((d & c).bit_count() % 2 == 0 for c in cols) >= r)
+    flat = [j for j in range(code.n) if (dual & cols[j]).bit_count() % 2 == 0][:r]
+    return Permutation(flat + [j for j in range(code.n) if j not in flat])
 
 
 @pytest.mark.parametrize("m,t,seed", [(5, 2, 80), (10, 3, 81)])
@@ -770,7 +801,6 @@ def test_every_kind_decodes_to_the_value_it_encodes(m, t, seed):
         ibs_sign(usk, mpk, b"carol", b"note", rng),
         ibi_identify(usk, mpk, b"carol", rng, rng),
         ibi_identify(cheat, mpk, b"carol", rng, rng),
-        CodeParams(m, FieldParams(m).modulus, t),
     ]
     for value in values:
         assert decode(encode(value)) == value, type(value).__name__
@@ -788,16 +818,34 @@ def test_mpk_encoder_refuses_what_its_decoder_refuses(system):
 
 
 def test_msk_encoder_refuses_what_its_decoder_refuses(system):
-    # a P on 16 points or a Q of the wrong size used to encode under a (5, 2) code
+    # a P on 16 points used to encode under a (5, 2) code; the constructor now refuses it too
     sk = system["msk"].nied_sk
-    misfits = [
-        NiedSecretKey(sk.q, sk.code, Permutation(range(16))),
-        NiedSecretKey(BitMatrix.identity(9), sk.code, sk.p),
-    ]
-    for bad in misfits:
-        with pytest.raises(MalformedEnvelope):
-            encode(MasterSecretKey(bad))
+    with pytest.raises(MalformedEnvelope):
+        encode(MasterSecretKey(forged_key(sk.code, Permutation(range(16)))))
     assert msk_fields(decode(encode(system["msk"]))) == msk_fields(system["msk"])
+
+
+def test_msk_whose_left_block_is_singular_is_refused_both_ways(system):
+    # no keygen makes such a key and it cannot decrypt: A, the left block of
+    # H_bin @ P, is what nied_decrypt multiplies by
+    sk = system["msk"].nied_sk
+    p = dependent_perm(sk.code)
+    with pytest.raises(Singular):
+        NiedSecretKey(sk.code, p)
+    with pytest.raises(MalformedEnvelope):
+        encode(MasterSecretKey(forged_key(sk.code, p)))
+    blob = encode(system["msk"])
+    with pytest.raises(MalformedEnvelope):
+        decode(blob[: -len(p.words)] + p.words)
+
+
+def test_extraction_refuses_an_mpk_its_msk_does_not_determine(system):
+    other, _ = master_keygen(FieldParams(5), 2, 9, random.Random(46))
+    rng = random.Random(47)
+    before = rng.getstate()
+    with pytest.raises(ParameterError):
+        extract_user_key(system["msk"], other, b"alice", rng)
+    assert rng.getstate() == before
 
 
 def test_encoding_a_signature_holds_one_copy_of_its_envelope():
