@@ -2,16 +2,16 @@
 
 Code support is the full field in natural order: L_i is the element
 whose polynomial-basis encoding is the integer i, for i = 0 .. 2^m - 1.
-The public parity-check matrix H_bin is the GF(2) expansion (m bits per
-field entry, rows r*m .. r*m+m-1 for power r) of the t x n matrix with
-entries L_i^r / g(L_i).
+The code's own parity-check matrix H_bin, secret like g, is the GF(2)
+expansion (m bits per field entry, rows r*m .. r*m+m-1 for power r) of
+the t x n matrix with entries L_i^r / g(L_i), made on first use.
 """
 from __future__ import annotations
 
 import random
 from functools import cached_property
 
-from .binmat import BitMatrix, BitVector, mat_mul, mat_rank, mat_vec_mul
+from .binmat import BitMatrix, BitVector, mat_mul, mat_vec_mul
 from .errors import DimensionMismatch, ParameterError, Undecodable
 from .gf2m import (
     POLY_Z,
@@ -50,14 +50,18 @@ __all__ = [
 class GoppaCode:
     """[n, k] binary Goppa code determined by (field, t, g)."""
 
-    def __init__(self, params: FieldParams, t: int, g: Gf2mPoly, H_bin: BitMatrix):
+    def __init__(self, params: FieldParams, t: int, g: Gf2mPoly):
         self.params = params
         self.t = t
         self.n = 1 << params.m
         self.k = self.n - params.m * t
         self.support = range(self.n)
         self.g = g
-        self.H_bin = H_bin
+
+    @cached_property
+    def H_bin(self) -> BitMatrix:
+        """The m*t x n parity-check matrix, made on first use: by patterson_decode, not keygen."""
+        return _assemble_parity(self.params, self.t, self.g)
 
     @cached_property
     def sqrt_z(self) -> Gf2mPoly:
@@ -126,7 +130,7 @@ def _assemble_parity(
 
 
 def code_from_poly(params: FieldParams, t: int, g: Gf2mPoly) -> GoppaCode:
-    """Code for a caller-supplied Goppa polynomial; parity matrix must be full rank."""
+    """Code for a caller-supplied Goppa polynomial; a key over it, not this, checks H_bin's rank."""
     _check_code_params(params.m, t)
     if g.degree != t or g.coeffs[-1] != 1:
         raise ParameterError("Goppa polynomial must be monic of degree t")
@@ -134,20 +138,13 @@ def code_from_poly(params: FieldParams, t: int, g: Gf2mPoly) -> GoppaCode:
         raise ParameterError(f"Goppa polynomial coefficient outside GF(2^{params.m})")
     if not is_irreducible(g, params):
         raise ParameterError("Goppa polynomial must be irreducible")
-    H = _assemble_parity(params, t, g)
-    if mat_rank(H) != params.m * t:
-        raise ParameterError("parity-check matrix is rank deficient for this polynomial")
-    return GoppaCode(params, t, g, H)
+    return GoppaCode(params, t, g)
 
 
 def build_goppa(params: FieldParams, t: int, rng: random.Random) -> GoppaCode:
-    """Random irreducible Goppa code; redraws g until H_bin has full rank."""
+    """Random irreducible Goppa code; nied_keygen's column search checks H_bin's rank."""
     _check_code_params(params.m, t)
-    while True:
-        g = random_irreducible(t, params, rng)
-        H = _assemble_parity(params, t, g)
-        if mat_rank(H) == params.m * t:
-            return GoppaCode(params, t, g, H)
+    return GoppaCode(params, t, random_irreducible(t, params, rng))
 
 
 def binary_syndrome(code: GoppaCode, e: BitVector) -> BitVector:

@@ -18,8 +18,9 @@ import random
 from dataclasses import dataclass
 
 from .binmat import BitMatrix, BitVector, gaussian_solve, mat_invert, mat_vec_mul, select_columns
-from .errors import CostGuard, DimensionMismatch, RetryLimitExceeded, Singular
+from .errors import CostGuard, DimensionMismatch, ParameterError, RetryLimitExceeded, Singular
 from .gf2m import FieldParams
+from .goppa import _check_code_params
 from .ibi import UserSecretKey, Verifier, derive_identifier, extract_user_key, ibi_identify, master_keygen
 from .stern import ProverRoundState, _commit, stern_commit, stern_respond, verify_round
 
@@ -139,6 +140,8 @@ def impersonation_game(cfg: GameConfig) -> GameResult:
     """Monte Carlo of full identification sessions for one adversary kind."""
     if cfg.kind not in ("cheat", "wrong-key", "honest"):
         raise ValueError(f"unknown adversary kind {cfg.kind!r}")
+    if cfg.trials < 1:
+        raise ParameterError(f"trials={cfg.trials}; need at least 1")
     rng = random.Random(cfg.seed)
     fp = FieldParams(cfg.m)
     mpk, msk = master_keygen(fp, cfg.t, cfg.rounds, rng)
@@ -286,6 +289,9 @@ def estimate_costs(m: int, t: int, rounds_ibi: int, rounds_ibs: int) -> CostEsti
     Finiasz and Sendrier (ASIACRYPT 2009) put it below this figure at
     (16,9).
     """
+    _check_code_params(m, t)
+    if rounds_ibi < 1 or rounds_ibs < 1:
+        raise ParameterError(f"rounds {rounds_ibi} and {rounds_ibs}; need at least 1 each")
     n = 1 << m
     k = n - m * t
     return CostEstimate(

@@ -30,7 +30,7 @@ from .binmat import (
     random_permutation,
     unpermute_support,
 )
-from .errors import DimensionMismatch, Singular, WeightError
+from .errors import DimensionMismatch, ParameterError, Singular, WeightError
 from .gf2m import FieldParams
 from .goppa import GoppaCode, _assemble_parity, _screen_key_equation, build_goppa, patterson_decode
 
@@ -81,12 +81,12 @@ def nied_keygen(params: FieldParams, t: int, rng: random.Random, p: Permutation 
 
     g is drawn by build_goppa, then P from the same rng unless p is given
     (tests inject it).  _echelon picks the greedy first r = m*t
-    independent columns of H_bin @ P from its first r + 8, a width that is
-    doubled in the rare case their rank falls short.  Unless they are
-    columns 0 .. r-1, P is reordered: their positions first, then every
-    other position in ascending order.  P is not redrawn, as its left
-    r x r block is invertible with probability only about 0.29, and each
-    redraw costs a permutation of all 2^m points.
+    independent columns of H_bin @ P from its first r + 8, a width doubled
+    while they fall short, up to n, where ParameterError reports H_bin's
+    rank as short.  Unless they are columns 0 .. r-1, P is reordered: their
+    positions first, then every other position in ascending order.  P is
+    not redrawn, as its left r x r block is invertible with probability
+    only about 0.29, and each redraw costs a permutation of all 2^m points.
     """
     code = build_goppa(params, t, rng)
     if p is None:
@@ -94,6 +94,8 @@ def nied_keygen(params: FieldParams, t: int, rng: random.Random, p: Permutation 
     r = code.n - code.k
     width = min(r + 8, code.n)
     while len(pivots := _echelon(list(_parity_at(code, p, width).rows), width)) < r:
+        if width == code.n:
+            raise ParameterError(f"H_bin has rank {len(pivots)} < {r} under this Goppa polynomial")
         width = min(2 * width, code.n)
     if pivots != list(range(r)):
         rest = sorted(set(range(width)).difference(pivots))

@@ -31,6 +31,7 @@ from codeibi import (
     syndrome_bits,
     syndrome_poly,
 )
+from codeibi.goppa import _assemble_parity
 
 
 def make_code(m, t, seed):
@@ -44,6 +45,18 @@ def test_build_shapes_and_rank():
     assert mat_rank(code.H_bin) == 10
     assert code.g.degree == 2 and code.g.coeffs[2] == 1
     assert all(poly_eval(code.g, x, code.params) != 0 for x in code.support)
+
+
+@pytest.mark.parametrize("m,t", [(3, 2), (4, 3), (5, 2), (6, 3), (8, 3)])
+def test_parity_matrix_is_made_on_first_use_with_full_rank(m, t):
+    # build_goppa draws g once and never ranks H_bin; no draw here falls short
+    params = FieldParams(m)
+    for seed in range(50):
+        code = build_goppa(params, t, random.Random(seed))
+        assert "H_bin" not in vars(code)
+        h = code.H_bin
+        assert h == _assemble_parity(params, t, code.g) and mat_rank(h) == m * t
+        assert code.H_bin is h
 
 
 def test_rate_relation():
@@ -183,15 +196,17 @@ def test_undecodable_reason_names_each_exit():
     other = make_code(4, 2, 21)
     assert other.g != code.g
     e = BitVector.random_weight(code.n, 2, random.Random(22))
+    foreign = GoppaCode(code.params, code.t, code.g)
+    foreign.H_bin = other.H_bin
     with pytest.raises(Undecodable) as info:
-        patterson_decode(GoppaCode(code.params, code.t, code.g, other.H_bin), binary_syndrome(code, e))
+        patterson_decode(foreign, binary_syndrome(code, e))
     assert info.value.reason == "syndrome mismatch"
     assert "syndrome mismatch" in str(info.value)
 
 
 def test_directly_built_code_decodes_with_its_own_sqrt_z():
     code = make_code(8, 3, 23)
-    bare = GoppaCode(code.params, code.t, code.g, code.H_bin)
+    bare = GoppaCode(code.params, code.t, code.g)
     e = BitVector.random_weight(code.n, 3, random.Random(24))
     assert patterson_decode(bare, binary_syndrome(code, e)) == e
     root = bare.sqrt_z
@@ -216,5 +231,6 @@ def test_code_from_poly_matches_build():
     g = random_irreducible(2, p, rng)
     code = code_from_poly(p, 2, g)
     assert code.g == g
+    assert "H_bin" not in vars(code)
     e = BitVector.random_weight(code.n, 2, rng)
     assert patterson_decode(code, binary_syndrome(code, e)) == e

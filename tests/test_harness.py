@@ -12,6 +12,7 @@ from codeibi import (
     DimensionMismatch,
     FieldParams,
     GameConfig,
+    ParameterError,
     RetryLimitExceeded,
     brute_force_decode,
     cheat_commit,
@@ -27,6 +28,7 @@ from codeibi import (
     prange_isd,
     strategy_acceptance_set,
 )
+from codeibi import harness
 
 
 def setup_instance(seed=1):
@@ -107,6 +109,13 @@ def test_game_multi_round_rarely_accepts_cheat():
 def test_game_rejects_unknown_kind():
     with pytest.raises(ValueError):
         impersonation_game(GameConfig(m=5, t=2, rounds=1, trials=1, seed=0, kind="replay"))
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_game_refuses_fewer_than_one_trial_before_keygen(monkeypatch, trials):
+    monkeypatch.setattr(harness, "master_keygen", lambda *args: pytest.fail("keygen ran"))
+    with pytest.raises(ParameterError):
+        impersonation_game(GameConfig(m=5, t=2, rounds=3, trials=trials, seed=0))
 
 
 def test_brute_force_finds_planted_error():
@@ -207,6 +216,15 @@ def test_estimate_costs_scales_with_rounds():
     assert b.comm_bits_identification == 2 * a.comm_bits_identification
     assert b.comm_bits_signature == 4 * a.comm_bits_signature
     assert a.pk_bits == 30 and a.matrix_bits == 1024 * 30
+
+
+@pytest.mark.parametrize(
+    "m,t,rounds_ibi,rounds_ibs",
+    [(16, 9, -1, 0), (16, 9, 58, 0), (16, 9, 0, 280), (3, 1, 58, 280), (4, 4, 58, 280), (17, 2, 58, 280)],
+)
+def test_estimate_costs_refuses_what_the_package_refuses(m, t, rounds_ibi, rounds_ibs):
+    with pytest.raises(ParameterError):
+        estimate_costs(m, t, rounds_ibi, rounds_ibs)
 
 
 def test_distinguisher_is_a_stub():

@@ -4,10 +4,12 @@ import random
 import pytest
 
 from codeibi import (
+    BitMatrix,
     BitVector,
     DimensionMismatch,
     FieldParams,
     NiedSecretKey,
+    ParameterError,
     Permutation,
     Singular,
     Undecodable,
@@ -17,6 +19,7 @@ from codeibi import (
     mat_mul,
     mat_rank,
     mat_vec_mul,
+    master_keygen,
     nied_decrypt,
     nied_encrypt,
     nied_keygen,
@@ -24,6 +27,7 @@ from codeibi import (
     random_permutation,
     select_columns,
 )
+from codeibi import niederreiter
 
 
 def keys(m, t, seed, **kw):
@@ -65,6 +69,7 @@ def test_identity_disguise_hook():
     # identity P stays, and h_tilde is the systematic form of H_bin itself
     pk, sk = keys(5, 2, 2, p=Permutation(range(32)))
     assert sk.p == Permutation(range(32))
+    assert "H_bin" not in vars(sk.code)  # made below, by the reference, not by keygen
     assert pk.h_tilde == mat_mul(mat_invert(select_columns(sk.code.H_bin, range(10))), sk.code.H_bin)
 
 
@@ -102,6 +107,31 @@ def test_keygen_widens_its_column_search_when_r_plus_8_columns_fall_short():
     assert pivots[-1] >= 18
     assert sk.p == reordered(p, pivots)
     assert pk.h_tilde == mat_mul(mat_invert(sk.a), permute_columns(sk.code.H_bin, sk.p))
+
+
+def test_keygen_refuses_a_code_whose_parity_columns_all_fall_short(monkeypatch):
+    # H_bin @ P with its last row zeroed has rank 9 at every width, so the search
+    # widens to all 32 columns and stops there; the fake stops a search that would not
+    real, widths = niederreiter._parity_at, []
+
+    def short(code, p, n):
+        widths.append(n)
+        if len(widths) > 8:
+            raise RuntimeError(f"column search still widening after {widths}")
+        h = real(code, p, n)
+        return BitMatrix(h.nrows, h.ncols, list(h.rows[:-1]) + [0])
+
+    monkeypatch.setattr(niederreiter, "_parity_at", short)
+    with pytest.raises(ParameterError, match="rank 9 < 10"):
+        keys(5, 2, 1)
+    assert widths == [18, 32]
+
+
+@pytest.mark.parametrize("m,t", [(12, 5), (16, 9)])
+def test_master_keygen_makes_no_parity_matrix(m, t):
+    # keygen assembles H_bin @ P at P's points only; H_bin itself waits for a decode
+    _, msk = master_keygen(FieldParams(m), t, 137, random.Random(118))
+    assert "H_bin" not in vars(msk.nied_sk.code)
 
 
 @pytest.mark.parametrize("m,t", [(5, 2), (8, 3), (10, 3), (12, 5), (16, 9)])

@@ -459,6 +459,15 @@ def test_cli_game_estimate_oracle(tmp_path, capsys):
     assert main(["oracle-check", "--m", "8", "--t", "3"]) == 2
 
 
+def test_cli_game_and_estimate_refuse_bad_counts_as_usage_errors(capsys):
+    for trials in ("0", "-2"):
+        assert main(["game", "--m", "5", "--t", "2", "--rounds", "3", "--trials", trials]) == 2
+    assert main(["estimate", "--m", "16", "--t", "9", "--rounds-ibi", "-1", "--rounds-ibs", "0"]) == 2
+    assert main(["estimate", "--m", "3", "--t", "1", "--rounds-ibi", "58", "--rounds-ibs", "280"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("usage error") == 4
+
+
 def test_console_script_smoke():
     script = shutil.which("codeibi")
     cmd = [script] if script else [sys.executable, "-m", "codeibi.wirecli"]
@@ -515,7 +524,7 @@ def test_word_arrays_outside_16_bits_are_malformed(system):
     sk = system["msk"].nied_sk
     code = sk.code
     wide_g = Gf2mPoly((1 << 16,) + code.g.coeffs[1:])
-    wide_msk = MasterSecretKey(forged_key(GoppaCode(code.params, code.t, wide_g, code.H_bin), sk.p))
+    wide_msk = MasterSecretKey(forged_key(GoppaCode(code.params, code.t, wide_g), sk.p))
     with pytest.raises(MalformedEnvelope):
         encode(wide_msk)
     n = (1 << 16) + 1
