@@ -40,9 +40,8 @@ class Inconsistent(CodeIbiError):
 class Undecodable(CodeIbiError):
     """Syndrome is not within the decoding radius of the code.
 
-    reason names the decoder's exit: "does not split" when the error
-    locator has fewer distinct roots than its degree, "syndrome mismatch"
-    when the errors it locates give another syndrome.
+    reason names the decoder's one exit: "does not split" when the
+    error locator has fewer distinct roots than its degree.
     """
 
     def __init__(self, message: str, reason: str | None = None):

@@ -4,7 +4,8 @@ Code support is the full field in natural order: L_i is the element
 whose polynomial-basis encoding is the integer i, for i = 0 .. 2^m - 1.
 The code's own parity-check matrix H_bin, secret like g, is the GF(2)
 expansion (m bits per field entry, rows r*m .. r*m+m-1 for power r) of
-the t x n matrix with entries L_i^r / g(L_i), made on first use.
+the t x n matrix with entries L_i^r / g(L_i): binary_syndrome's reference,
+made on first use.  Keygen and the decoder never read it.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from .gf2m import (
     poly_add,
     poly_eval_all,
     poly_ext_gcd,
-    poly_inv_mod,
     poly_mul,
     poly_roots,
     poly_sqrt_mod,
@@ -60,7 +60,7 @@ class GoppaCode:
 
     @cached_property
     def H_bin(self) -> BitMatrix:
-        """The m*t x n parity-check matrix, made on first use: by patterson_decode, not keygen."""
+        """The m*t x n parity-check matrix, made on first use: the reference, not a decoder step."""
         return _assemble_parity(self.params, self.t, self.g)
 
     @cached_property
@@ -148,7 +148,7 @@ def build_goppa(params: FieldParams, t: int, rng: random.Random) -> GoppaCode:
 
 
 def binary_syndrome(code: GoppaCode, e: BitVector) -> BitVector:
-    """H_bin @ e, length m*t."""
+    """H_bin @ e, length m*t: the reference patterson_decode's answers are tested against."""
     return mat_vec_mul(code.H_bin, e)
 
 
@@ -202,8 +202,10 @@ def syndrome_bits(code: GoppaCode, S: Gf2mPoly) -> BitVector:
 def patterson_decode(code: GoppaCode, s: BitVector) -> BitVector:
     """Error vector of weight <= t with binary_syndrome(e) == s.
 
-    Raises Undecodable when s is outside the decoding radius; the result
-    is always re-verified against the syndrome before being returned.
+    Raises Undecodable when s is outside the decoding radius.  The answer
+    needs no re-check: by construction S*sigma = c*b^2 = sigma' mod g, so a
+    locator with deg(sigma) distinct roots L_i gives S = sum 1/(z + L_i),
+    which is syndrome_poly of H_bin @ e.
     """
     params, t, g = code.params, code.t, code.g
     if s.n != params.m * t:
@@ -211,27 +213,22 @@ def patterson_decode(code: GoppaCode, s: BitVector) -> BitVector:
     if s.bits == 0:
         return BitVector.zeros(code.n)
 
-    # No branch for a lone error at element 0: T = z gives R = 0, ext-gcd
-    # entry (a, b) = (0, 1) and locator z.  R = 0 at no other T, as squaring
-    # is a bijection mod the irreducible g and T + z is reduced (t >= 2).  The
-    # locator is never 0: a^2 has even degree, z*b^2 odd, and ext-gcd never
-    # gives a = b = 0 (entry 0 has a = g, every later entry b != 0).
-    # R = sqrt(T + z) is one product with the code's sqrt(z), not m*t - 1
-    # squarings; the locator's roots come from one bit-sliced evaluation
-    # at all 2^m support points.
+    # _screen_key_equation's steps at one lane's width, with no inverse of S:
+    # c is nonzero, as g is irreducible and S != 0, and scales sigma but not
+    # its roots.  T = z, a lone error at element 0, gives R = 0, entry
+    # (a, b) = (0, 1) and locator c*z.  Past entry 0 (a = g) ext-gcd gives
+    # b != 0, so c*z*b^2 has odd degree, a^2 even, and sigma is not constant.
     S = syndrome_poly(code, s)
-    T = poly_inv_mod(S, g, params)
-    R = poly_sqrt_split(poly_add(T, POLY_Z), code.sqrt_z, g, params)
+    r, _, v = poly_ext_gcd(g, S, 0, params)  # v*S = c mod g, so v = c*T
+    cz = Gf2mPoly((0, r.coeffs[0]))
+    R = poly_sqrt_split(poly_add(v, cz), code.sqrt_z, g, params)  # the root of c*(T + z)
     a, _, b = poly_ext_gcd(g, R, t // 2, params)
-    sigma = poly_add(poly_mul(a, a, params), Gf2mPoly((0,) + poly_mul(b, b, params).coeffs))
+    sigma = poly_add(poly_mul(a, a, params), poly_mul(cz, poly_mul(b, b, params), params))
 
     roots = poly_roots(sigma, params)
     if len(roots) != sigma.degree:
         raise Undecodable("locator does not split over the support", "does not split")
-    e = BitVector.from_support(code.n, roots)
-    if binary_syndrome(code, e) != s:
-        raise Undecodable("recomputed syndrome mismatch", "syndrome mismatch")
-    return e
+    return BitVector.from_support(code.n, roots)
 
 
 def patterson_screen(code: GoppaCode, planes, ones: int) -> int:

@@ -139,7 +139,7 @@ class GameResult:
 def impersonation_game(cfg: GameConfig) -> GameResult:
     """Monte Carlo of full identification sessions for one adversary kind."""
     if cfg.kind not in ("cheat", "wrong-key", "honest"):
-        raise ValueError(f"unknown adversary kind {cfg.kind!r}")
+        raise ParameterError(f"unknown adversary kind {cfg.kind!r}")
     if cfg.trials < 1:
         raise ParameterError(f"trials={cfg.trials}; need at least 1")
     rng = random.Random(cfg.seed)

@@ -154,6 +154,8 @@ class Prover:
         return com
 
     def respond(self, ch: int) -> Response:
+        if not self._open:
+            raise ProtocolViolation("no open round to respond to")
         return stern_respond(self._open.popleft(), self.s, ch)
 
 
@@ -196,10 +198,14 @@ class Verifier:
         return self.done and bool(self.rounds) and self.rounds[-1].accepted
 
     def challenge(self, com: Commitments) -> int:
+        if self._pending is not None:
+            raise ProtocolViolation("the open round has not been checked")
         self._pending = (com, draw_challenge(self.rng))
         return self._pending[1]
 
     def check(self, resp: Response) -> bool:
+        if self._pending is None:
+            raise ProtocolViolation("no open challenge to check")
         (com, ch), self._pending = self._pending, None
         return self.record(com, ch, resp)
 

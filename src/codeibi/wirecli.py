@@ -519,7 +519,8 @@ def _make_rng(seed: int | None) -> random.Random:
 
 
 class VerifierServer:
-    """Accepts identification sessions and records their transcripts."""
+    """Accepts identification sessions and records their transcripts; refused counts
+    the connections that ended before a session began (a bad first frame, a lost peer)."""
 
     def __init__(
         self,
@@ -533,6 +534,7 @@ class VerifierServer:
         self.rng = _make_rng(seed)
         self.max_sessions = max_sessions
         self.sessions: list[IbiTranscript] = []
+        self.refused = 0
         self._frame_cap = _max_frame(mpk)
         self._sock = socket.create_server((host, port))
         self.host, self.port = self._sock.getsockname()[:2]
@@ -552,7 +554,9 @@ class VerifierServer:
                     transcript = self._session(conn)
                 except (CodeIbiError, OSError):
                     transcript = None
-                if transcript is not None:
+                if transcript is None:
+                    self.refused += 1
+                else:
                     self.sessions.append(transcript)
             served += 1
 
@@ -702,9 +706,10 @@ def _cmd_verify_serve(args) -> int:
     for i, tr in enumerate(server.sessions):
         print(f"session={i} id={tr.identity.decode(errors='replace')} j={tr.j} "
               f"accepted={tr.accepted}")
+    print(f"refused={server.refused}")
     if args.transcript_out and server.sessions:
         write_envelope(args.transcript_out, server.sessions[-1])
-    return 0 if all(tr.accepted for tr in server.sessions) else 1
+    return 0 if not server.refused and all(tr.accepted for tr in server.sessions) else 1
 
 
 def _cmd_prove(args) -> int:

@@ -4,6 +4,7 @@ The heavyweight check lives in the acceptance suite (full agreement
 with the exhaustive decoder over every syndrome); these tests pin the
 construction details and the decoder contract at property level.
 """
+import math
 import random
 
 import pytest
@@ -191,17 +192,25 @@ def test_undecodable_reason_names_each_exit():
             assert exc.reason in str(exc)
             reasons.add(exc.reason)
     # every locator that splits locates a true error pattern (S*sigma = sigma'
-    # mod g), so only a parity matrix foreign to g reaches the re-check
+    # mod g), so the decoder has no other exit
     assert reasons == {"does not split"}
-    other = make_code(4, 2, 21)
-    assert other.g != code.g
-    e = BitVector.random_weight(code.n, 2, random.Random(22))
-    foreign = GoppaCode(code.params, code.t, code.g)
-    foreign.H_bin = other.H_bin
-    with pytest.raises(Undecodable) as info:
-        patterson_decode(foreign, binary_syndrome(code, e))
-    assert info.value.reason == "syndrome mismatch"
-    assert "syndrome mismatch" in str(info.value)
+
+
+@pytest.mark.parametrize("m,t", [(4, 2), (5, 2), (6, 2)])
+def test_decoder_decodes_exactly_the_ball_on_every_syndrome(m, t):
+    # what no run-time re-check guards: each answer against H_bin, the reference
+    code = make_code(m, t, 25)
+    decoded = 0
+    for bits in range(1 << (m * t)):
+        s = BitVector(m * t, bits)
+        try:
+            e = patterson_decode(code, s)
+        except Undecodable as exc:
+            assert exc.reason == "does not split"
+            continue
+        assert e.weight() <= t and binary_syndrome(code, e) == s
+        decoded += 1
+    assert decoded == sum(math.comb(code.n, w) for w in range(t + 1))
 
 
 def test_directly_built_code_decodes_with_its_own_sqrt_z():

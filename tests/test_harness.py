@@ -106,8 +106,10 @@ def test_game_multi_round_rarely_accepts_cheat():
     assert res.rate < 0.2
 
 
-def test_game_rejects_unknown_kind():
-    with pytest.raises(ValueError):
+def test_game_rejects_unknown_kind(monkeypatch):
+    # the package's own error, before any keygen
+    monkeypatch.setattr(harness, "master_keygen", lambda *args: pytest.fail("keygen ran"))
+    with pytest.raises(ParameterError):
         impersonation_game(GameConfig(m=5, t=2, rounds=1, trials=1, seed=0, kind="replay"))
 
 

@@ -278,6 +278,43 @@ def test_prover_verifier_all_commits_first_matches_one_round_at_a_time():
     assert batched == ibi_identify(usk, mpk, b"ivy", random.Random(38), random.Random(39))
 
 
+def session_pair(seed):
+    mpk, msk = authority(rounds=12, seed=seed)
+    usk = extract_user_key(msk, mpk, b"lee", random.Random(seed + 1))
+    verifier = Verifier(mpk, b"lee", usk.j, usk.w, random.Random(seed + 3))
+    return Prover(usk, mpk, random.Random(seed + 2)), verifier
+
+
+def test_prover_refuses_to_respond_with_no_open_round():
+    prover, verifier = session_pair(48)
+    with pytest.raises(ProtocolViolation):
+        prover.respond(0)
+    ch = verifier.challenge(prover.commit())
+    assert verifier.check(prover.respond(ch))
+    with pytest.raises(ProtocolViolation):
+        prover.respond(ch)
+
+
+def test_verifier_refuses_to_check_with_no_open_challenge():
+    prover, verifier = session_pair(52)
+    ch = verifier.challenge(prover.commit())
+    resp = prover.respond(ch)
+    assert verifier.check(resp)
+    with pytest.raises(ProtocolViolation):
+        verifier.check(resp)
+    assert len(verifier.rounds) == 1
+
+
+def test_verifier_keeps_the_open_round_against_a_second_challenge():
+    prover, verifier = session_pair(56)
+    com = prover.commit()
+    ch = verifier.challenge(com)
+    with pytest.raises(ProtocolViolation):
+        verifier.challenge(prover.commit())
+    assert verifier.check(prover.respond(ch))
+    assert verifier.rounds[0].commitments == com and verifier.rounds[0].challenge == ch
+
+
 def wrong_key(mpk, msk, identity, seed):
     """A random weight-t key under a counter the identity really has."""
     rng = random.Random(seed)

@@ -15,6 +15,7 @@ from codeibi import (
     Undecodable,
     WeightError,
     build_goppa,
+    extract_user_key,
     mat_invert,
     mat_mul,
     mat_rank,
@@ -129,9 +130,22 @@ def test_keygen_refuses_a_code_whose_parity_columns_all_fall_short(monkeypatch):
 
 @pytest.mark.parametrize("m,t", [(12, 5), (16, 9)])
 def test_master_keygen_makes_no_parity_matrix(m, t):
-    # keygen assembles H_bin @ P at P's points only; H_bin itself waits for a decode
+    # keygen assembles H_bin @ P at P's points only
     _, msk = master_keygen(FieldParams(m), t, 137, random.Random(118))
     assert "H_bin" not in vars(msk.nied_sk.code)
+
+
+@pytest.mark.parametrize("m,t", [(12, 5), (16, 9)])
+def test_no_production_path_makes_the_parity_matrix(m, t):
+    # the decoder trusts Patterson's key equation and never re-checks against H_bin
+    rng = random.Random(119)
+    mpk, msk = master_keygen(FieldParams(m), t, 58, rng)
+    if m == 12:
+        extract_user_key(msk, mpk, b"alice", rng)
+    pk, sk = mpk.nied_pk, msk.nied_sk
+    x = BitVector.random_weight(pk.n, t, rng)
+    assert nied_decrypt(sk, nied_encrypt(pk, x)) == x
+    assert "H_bin" not in vars(sk.code)
 
 
 @pytest.mark.parametrize("m,t", [(5, 2), (8, 3), (10, 3), (12, 5), (16, 9)])

@@ -417,6 +417,44 @@ def test_cli_verify_serve_end_to_end(tmp_path, system):
     assert len(tr.rounds) == system["mpk"].stern_rounds
 
 
+def test_server_counts_the_connections_it_refuses(system):
+    mpk, cred = system["mpk"], system["cred"]
+    with VerifierServer(mpk, seed=58, max_sessions=3).start() as server:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(b"\xff" * 5)  # a header of unknown type
+            assert wirecli._recv_msg(sock) == (MSG_RESULT, b"\x00")
+        socket.create_connection(("127.0.0.1", server.port), timeout=10).close()
+        assert run_prover("127.0.0.1", server.port, cred, b"alice", random.Random(59))
+    assert server.refused == 2 and len(server.sessions) == 1
+
+
+def test_cli_verify_serve_fails_when_it_refuses_a_peer(tmp_path, system):
+    # a refused peer left no transcript, and verify-serve exited 0 over none
+    mpk_p = tmp_path / "r.mpk"
+    write_envelope(mpk_p, system["mpk"])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wirecli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "codeibi.wirecli", "verify-serve", "--mpk", str(mpk_p),
+         "--listen", "127.0.0.1:0", "--seed", "78", "--max-sessions", "1"],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        port = int(proc.stdout.readline().strip().rpartition(":")[2])
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(b"\xff" * 5)  # a header of unknown type
+            assert wirecli._recv_msg(sock) == (MSG_RESULT, b"\x00")
+        out, _ = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert out.splitlines() == ["refused=1"]
+    assert proc.returncode == 1
+
+
 def test_cli_usage_and_io_errors(tmp_path, system):
     with pytest.raises(SystemExit) as exc:
         main(["keygen", "--m", "5"])
