@@ -70,7 +70,8 @@ class ChannelError(CodeIbiError):
 
 
 class MalformedEnvelope(CodeIbiError):
-    """Serialized blob violates the container format."""
+    """Serialized blob violates the container format, or a round, signature or
+    transcript breaks a rule its own type states, however it was made."""
 
 
 class VersionMismatch(CodeIbiError):

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .binmat import BitVector
-from .errors import CodeIbiError, ParameterError, ProtocolViolation
+from .errors import CodeIbiError, MalformedEnvelope, ParameterError, ProtocolViolation
 from .gf2m import FieldParams
 from .mcfs import counter_max, hash_to_syndrome, mcfs_sign, mcfs_verify
 from .niederreiter import NiedPublicKey, NiedSecretKey, nied_keygen
@@ -97,13 +97,19 @@ class UserCredential:
 
 @dataclass(frozen=True)
 class IbiTranscript:
-    """Verifier-side record of one identification session."""
+    """Verifier-side record of one identification session: passed rounds,
+    then at most one failed round, and accepted only if the last one passed."""
 
     identity: bytes
     j: int
     w: int
     accepted: bool
     rounds: tuple
+
+    def __post_init__(self):
+        passed = [rt.accepted for rt in self.rounds]
+        if not all(passed[:-1]) or self.accepted and passed[-1:] != [True]:
+            raise MalformedEnvelope("verdict contradicts its rounds")
 
 
 def master_keygen(params: FieldParams, t: int, rounds: int, rng: random.Random):
@@ -156,7 +162,9 @@ class Prover:
     def respond(self, ch: int) -> Response:
         if not self._open:
             raise ProtocolViolation("no open round to respond to")
-        return stern_respond(self._open.popleft(), self.s, ch)
+        resp = stern_respond(self._open[0], self.s, ch)  # a refused challenge leaves the round open
+        self._open.popleft()
+        return resp
 
 
 class Verifier:
@@ -200,6 +208,8 @@ class Verifier:
     def challenge(self, com: Commitments) -> int:
         if self._pending is not None:
             raise ProtocolViolation("the open round has not been checked")
+        if self.rng is None:
+            raise ProtocolViolation("a verifier made without an rng draws no challenge")
         self._pending = (com, draw_challenge(self.rng))
         return self._pending[1]
 
@@ -273,11 +283,19 @@ def fs_challenges(
 
 @dataclass(frozen=True)
 class IbsSignature:
+    """A commitment, a challenge and a response per round, each response tagged with its challenge."""
+
     j: int
     w: int
     commitments: tuple
     challenges: tuple
     responses: tuple
+
+    def __post_init__(self):
+        if not len(self.commitments) == len(self.challenges) == len(self.responses):
+            raise MalformedEnvelope("signature arrays disagree on the round count")
+        if any(resp.b != ch for ch, resp in zip(self.challenges, self.responses)):
+            raise MalformedEnvelope("response tag disagrees with its challenge")
 
 
 def ibs_sign(
@@ -304,12 +322,11 @@ def ibs_verify(mpk: MasterPublicKey, identity: bytes, msg: bytes, sig: IbsSignat
     """
     try:
         k = mpk.stern_rounds
-        if not len(sig.commitments) == len(sig.challenges) == len(sig.responses) == k:
+        if len(sig.commitments) != k:
             return False
         verifier = Verifier(mpk, identity, sig.j, sig.w)
         if not verifier.admitted:
             return False
-        # to_bytes() raises MalformedEnvelope unless each digest is 32 bytes
         blob = b"".join(c.to_bytes() for c in sig.commitments)
         if tuple(fs_challenges(mpk, identity, sig.j, blob, msg, k)) != tuple(sig.challenges):
             return False

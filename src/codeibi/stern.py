@@ -26,7 +26,6 @@ from .binmat import (
     random_permutation,
 )
 from .errors import (
-    CodeIbiError,
     DimensionMismatch,
     MalformedEnvelope,
     RangeError,
@@ -60,34 +59,49 @@ class Commitments:
 
     SIZE = 96  # not a field: the length of to_bytes()
 
-    def to_bytes(self) -> bytes:
+    def __post_init__(self):
         if len(self.c1) != 32 or len(self.c2) != 32 or len(self.c3) != 32:
             raise MalformedEnvelope("commitments must be 32 bytes each")
+
+    def to_bytes(self) -> bytes:
         return self.c1 + self.c2 + self.c3
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Commitments":
-        if len(data) != cls.SIZE:
-            raise MalformedEnvelope(f"commitments take {cls.SIZE} bytes, not {len(data)}")
         return cls(data[:32], data[32:64], data[64:])
 
 
 @dataclass(frozen=True)
 class Response:
-    """Challenge answer; (vec, perm) for b in {0,1}, (vec, vec2) for b = 2."""
+    """Challenge answer; (vec, perm) for b in {0,1}, (vec, vec2) for b = 2, each on vec's points."""
 
     b: int
     vec: BitVector
     perm: Permutation | None = None
     vec2: BitVector | None = None
 
+    def __post_init__(self):
+        if self.b not in (0, 1, 2):
+            raise MalformedEnvelope(f"bad response tag {self.b}")
+        opened = self.perm if self.b < 2 else self.vec2
+        if opened is None or opened.n != self.vec.n:
+            raise MalformedEnvelope(f"response {self.b} opens no part on its vector's {self.vec.n} points")
+
 
 @dataclass(frozen=True)
 class RoundTranscript:
+    """One round as a verifier saw it; a failed round may hold another challenge's response."""
+
     commitments: Commitments
     challenge: int
     response: Response
     accepted: bool
+
+    def __post_init__(self):
+        if self.challenge not in (0, 1, 2):
+            raise MalformedEnvelope(f"bad challenge {self.challenge}")
+        if self.accepted and self.response.b != self.challenge:
+            raise MalformedEnvelope("response tag disagrees with its challenge")
 
 
 class ProverRoundState:
@@ -154,32 +168,22 @@ def verify_round(
 
     w is the secret's declared weight, which the b=2 opening must show.
     """
-    n = h.ncols
-    try:
-        if resp.b != ch or resp.vec is None or resp.vec.n != n:
-            return False
-        if ch in (0, 1):
-            # b=0 opens y (c1, c2); b=1 opens y + s, whose syndrome is off by the identifier (c1, c3)
-            if resp.perm is None or resp.perm.n != n:
-                return False
-            syn = mat_vec_mul(h, resp.vec)
-            if ch == 1:
-                syn ^= identifier
-            opened = com.c3 if ch else com.c2
-            return com.c1 == _commit(resp.perm.words, syn.to_bytes()) and opened == _commit(
-                apply_permutation(resp.perm, resp.vec).to_bytes()
-            )
-        if ch == 2:
-            if resp.vec2 is None or resp.vec2.n != n:
-                return False
-            return (
-                com.c2 == _commit(resp.vec.to_bytes())
-                and com.c3 == _commit((resp.vec ^ resp.vec2).to_bytes())
-                and resp.vec2.weight() == w
-            )
+    if resp.b != ch or resp.vec.n != h.ncols:
         return False
-    except CodeIbiError:
-        return False
+    if ch < 2:
+        # b=0 opens y (c1, c2); b=1 opens y + s, whose syndrome is off by the identifier (c1, c3)
+        syn = mat_vec_mul(h, resp.vec)
+        if ch == 1:
+            syn ^= identifier
+        opened = com.c3 if ch else com.c2
+        return com.c1 == _commit(resp.perm.words, syn.to_bytes()) and opened == _commit(
+            apply_permutation(resp.perm, resp.vec).to_bytes()
+        )
+    return (
+        com.c2 == _commit(resp.vec.to_bytes())
+        and com.c3 == _commit((resp.vec ^ resp.vec2).to_bytes())
+        and resp.vec2.weight() == w
+    )
 
 
 def ternary_challenges(stream: Iterable[int]) -> Iterator[int]:

@@ -184,7 +184,6 @@ def _dec_matrix(r: _Reader) -> BitMatrix:
 
 
 def encode_response_payload(resp: Response) -> bytes:
-    _check_response(resp)
     opened = _enc_words(resp.perm.words) if resp.b < 2 else _enc_bitvec(resp.vec2)
     return bytes([resp.b]) + _enc_bitvec(resp.vec) + opened
 
@@ -192,9 +191,9 @@ def encode_response_payload(resp: Response) -> bytes:
 def _dec_response(r: _Reader) -> Response:
     (b,) = r.unpack(">B")
     if b in (0, 1):
-        return _check_response(Response(b, _dec_bitvec(r), perm=Permutation.from_words(_dec_words(r))))
+        return Response(b, _dec_bitvec(r), perm=Permutation.from_words(_dec_words(r)))
     if b == 2:
-        return _check_response(Response(b, _dec_bitvec(r), vec2=_dec_bitvec(r)))
+        return Response(b, _dec_bitvec(r), vec2=_dec_bitvec(r))
     raise MalformedEnvelope(f"bad response tag {b}")
 
 
@@ -203,37 +202,12 @@ def decode_response_payload(payload: bytes) -> Response:
 
 
 # ---- rules an encoder and its decoder share ---------------------------------
+# (rounds, signatures and transcripts state their own in stern and ibi)
 
 
 def _check_round_count(k: int, least: int) -> None:
     if not least <= k <= _MAX_ROUNDS:
         raise MalformedEnvelope(f"bad round count {k}")
-
-
-def _check_response(resp: Response) -> Response:
-    """A response tagged 0, 1 or 2 whose opened part, σ for b < 2 or the
-    second vector for b = 2, acts on its vector's points."""
-    if resp.b not in (0, 1, 2):
-        raise MalformedEnvelope(f"bad response tag {resp.b}")
-    opened = resp.perm if resp.b < 2 else resp.vec2
-    if opened is None or opened.n != resp.vec.n:
-        raise MalformedEnvelope(f"response {resp.b} opens no part on its vector's {resp.vec.n} points")
-    return resp
-
-
-def _check_round(ch: int, resp: Response) -> Response:
-    """A round's response, which must answer its ternary challenge under that tag."""
-    if ch not in (0, 1, 2):
-        raise MalformedEnvelope(f"bad challenge {ch}")
-    if resp.b != ch:
-        raise MalformedEnvelope("response tag disagrees with its challenge")
-    return resp
-
-
-def _check_verdict(accepted: bool, passed: list) -> None:
-    """A verifier stops at the first failed round and accepts only after a passed one."""
-    if not all(passed[:-1]) or accepted and passed[-1:] != [True]:
-        raise MalformedEnvelope("verdict contradicts its rounds")
 
 
 def _check_credential(usk: UserSecretKey, mpk: MasterPublicKey) -> None:
@@ -352,13 +326,10 @@ def _enc_ibs_body(sig: IbsSignature, out: io.BytesIO) -> None:
     """Written a part at a time, so only one response's bytes exist apart from out."""
     k = len(sig.commitments)
     _check_round_count(k, 1)
-    if len(sig.challenges) != k or len(sig.responses) != k:
-        raise MalformedEnvelope("signature arrays disagree on the round count")
-    resps = list(map(_check_round, sig.challenges, sig.responses))
     out.write(struct.pack(">QHI", sig.j, sig.w, k))
     out.writelines(com.to_bytes() for com in sig.commitments)
     out.write(bytes(sig.challenges))
-    out.writelines(map(encode_response_payload, resps))
+    out.writelines(map(encode_response_payload, sig.responses))
 
 
 def _dec_ibs_body(r: _Reader) -> IbsSignature:
@@ -366,17 +337,16 @@ def _dec_ibs_body(r: _Reader) -> IbsSignature:
     _check_round_count(k, 1)
     coms = tuple(Commitments.from_bytes(r.take(Commitments.SIZE)) for _ in range(k))
     chs = tuple(r.take(k))
-    resps = tuple(_check_round(ch, _dec_response(r)) for ch in chs)
+    resps = tuple(_dec_response(r) for _ in range(k))
     return IbsSignature(j, w, coms, chs, resps)
 
 
 def _enc_transcript_body(tr: IbiTranscript, out: io.BytesIO) -> None:
     _check_round_count(len(tr.rounds), 0)
-    _check_verdict(tr.accepted, [rt.accepted for rt in tr.rounds])
     out.write(_hello_payload(tr.identity, tr.j, tr.w))
     out.write(struct.pack(">BI", bool(tr.accepted), len(tr.rounds)))
     for rt in tr.rounds:
-        resp = encode_response_payload(_check_round(rt.challenge, rt.response))
+        resp = encode_response_payload(rt.response)
         out.writelines((rt.commitments.to_bytes(), bytes([rt.challenge]), resp, bytes([bool(rt.accepted)])))
 
 
@@ -390,12 +360,11 @@ def _dec_transcript_body(r: _Reader) -> IbiTranscript:
     for _ in range(k):
         com = Commitments.from_bytes(r.take(Commitments.SIZE))
         (ch,) = r.unpack(">B")
-        resp = _check_round(ch, _dec_response(r))
+        resp = _dec_response(r)
         (ok,) = r.unpack(">B")
         if ok > 1:
             raise MalformedEnvelope("bad accept flag")
         rounds.append(RoundTranscript(com, ch, resp, bool(ok)))
-    _check_verdict(bool(accepted), [rt.accepted for rt in rounds])
     return IbiTranscript(identity, j, w, bool(accepted), tuple(rounds))
 
 

@@ -281,7 +281,7 @@ def test_10_generic_attack_rate_matches_model():
 
 @pytest.mark.skipif(
     not os.environ.get("CODEIBI_RUN_FULL_SCALE"),
-    reason="(m=16, t=9) signature fails its ±15% size check until ROADMAP item 5 (envelope v2); "
+    reason="(m=16, t=9) signature fails its ±15% size check until ROADMAP item 5; "
     "set CODEIBI_RUN_FULL_SCALE=1 to run",
 )
 def test_full_scale_signature_size_matches_estimate():

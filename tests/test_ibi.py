@@ -11,11 +11,13 @@ from codeibi import (
     CheatStrategy,
     FieldParams,
     IbsSignature,
+    MalformedEnvelope,
     MasterPublicKey,
     NiedPublicKey,
     ParameterError,
     ProtocolViolation,
     Prover,
+    RangeError,
     Response,
     UserSecretKey,
     Verifier,
@@ -169,7 +171,14 @@ def test_ibs_rejects_tampered_challenge_or_response():
     sig = ibs_sign(usk, mpk, b"fay", b"m", rng)
 
     flipped = tuple((c + 1) % 3 for c in sig.challenges)
-    assert not ibs_verify(mpk, b"fay", b"m", IbsSignature(sig.j, sig.w, sig.commitments, flipped, sig.responses))
+    with pytest.raises(MalformedEnvelope, match="tag disagrees"):
+        IbsSignature(sig.j, sig.w, sig.commitments, flipped, sig.responses)
+    # a challenge changed together with its response's tag still misses the derived stream
+    i = next(i for i, c in enumerate(sig.challenges) if (c + 1) % 3 in sig.challenges)
+    other = sig.challenges.index((sig.challenges[i] + 1) % 3)
+    chs = sig.challenges[:i] + (sig.challenges[other],) + sig.challenges[i + 1 :]
+    resps = sig.responses[:i] + (sig.responses[other],) + sig.responses[i + 1 :]
+    assert not ibs_verify(mpk, b"fay", b"m", IbsSignature(sig.j, sig.w, sig.commitments, chs, resps))
 
     r0 = sig.responses[0]
     bent = Response(r0.b, r0.vec ^ BitVector.from_support(r0.vec.n, [0]), perm=r0.perm, vec2=r0.vec2)
@@ -184,10 +193,8 @@ def test_ibs_rejects_mismatched_array_lengths():
     rng = random.Random(29)
     usk = extract_user_key(msk, mpk, b"gil", rng)
     sig = ibs_sign(usk, mpk, b"gil", b"m", rng)
-    assert not ibs_verify(
-        mpk, b"gil", b"m",
-        IbsSignature(sig.j, sig.w, sig.commitments[:-1], sig.challenges, sig.responses),
-    )
+    with pytest.raises(MalformedEnvelope, match="round count"):
+        IbsSignature(sig.j, sig.w, sig.commitments[:-1], sig.challenges, sig.responses)
     assert not ibs_verify(
         mpk, b"gil", b"m", IbsSignature(sig.j, sig.w, (), (), ())
     )
@@ -293,6 +300,28 @@ def test_prover_refuses_to_respond_with_no_open_round():
     assert verifier.check(prover.respond(ch))
     with pytest.raises(ProtocolViolation):
         prover.respond(ch)
+
+
+def test_prover_keeps_its_open_rounds_when_it_refuses_a_challenge():
+    # respond(5) used to drop the oldest open round, so the next response
+    # answered the commitment after the one it was asked about
+    prover, verifier = session_pair(60)
+    first, second = prover.commit(), prover.commit()
+    with pytest.raises(RangeError):
+        prover.respond(5)
+    assert verifier.check(prover.respond(verifier.challenge(first)))
+    assert verifier.check(prover.respond(verifier.challenge(second)))
+
+
+def test_verifier_made_without_an_rng_refuses_to_draw_a_challenge():
+    # ibs_verify makes its verifier without one; challenge() raised AttributeError
+    prover, verifier = session_pair(64)
+    unseeded = Verifier(verifier.mpk, verifier.identity, verifier.j, verifier.w)
+    with pytest.raises(ProtocolViolation):
+        unseeded.challenge(prover.commit())
+    with pytest.raises(ProtocolViolation):  # and it left no challenge open
+        unseeded.check(prover.respond(0))
+    assert unseeded.rounds == []
 
 
 def test_verifier_refuses_to_check_with_no_open_challenge():

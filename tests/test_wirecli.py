@@ -29,6 +29,7 @@ from codeibi import (
     ParameterError,
     Permutation,
     ProtocolViolation,
+    Prover,
     Response,
     Singular,
     TruncatedInput,
@@ -455,6 +456,62 @@ def test_cli_verify_serve_fails_when_it_refuses_a_peer(tmp_path, system):
     assert proc.returncode == 1
 
 
+def answer_another_challenge(port, cred, identity, rng):
+    """One round whose response answers a challenge other than the one drawn; the RESULT frame."""
+    prover = Prover(cred.usk, cred.mpk, rng)
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        wirecli._send_msg(sock, MSG_HELLO, wirecli._hello_payload(identity, cred.usk.j, cred.usk.w))
+        wirecli._send_msg(sock, wirecli.MSG_COMMIT, prover.commit().to_bytes())
+        mtype, payload = wirecli._recv_msg(sock)
+        assert mtype == wirecli.MSG_CHALLENGE
+        resp = prover.respond((payload[0] + 1) % 3)
+        wirecli._send_msg(sock, MSG_RESPONSE, encode_response_payload(resp))
+        return wirecli._recv_msg(sock)
+
+
+def test_a_round_answering_another_challenge_is_rejected_and_its_transcript_encodes(system):
+    # the server recorded such a round, then its own encoder refused the transcript
+    with VerifierServer(system["mpk"], seed=88, max_sessions=1).start() as server:
+        result = answer_another_challenge(server.port, system["cred"], b"alice", random.Random(89))
+    assert result == (MSG_RESULT, b"\x00")
+    (tr,) = server.sessions
+    (rt,) = tr.rounds
+    assert not tr.accepted and not rt.accepted and rt.response.b != rt.challenge
+    assert decode(encode(tr)) == tr
+
+
+def test_cli_verify_serve_writes_a_transcript_whose_round_answered_another_challenge(tmp_path, system):
+    # verify-serve printed accepted=False, then failed to encode the transcript and exited 3
+    mpk_p = tmp_path / "w.mpk"
+    tr_p = tmp_path / "w.transcript"
+    write_envelope(mpk_p, system["mpk"])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wirecli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "codeibi.wirecli", "verify-serve", "--mpk", str(mpk_p),
+         "--listen", "127.0.0.1:0", "--seed", "90", "--max-sessions", "1",
+         "--transcript-out", str(tr_p)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        port = int(proc.stdout.readline().strip().rpartition(":")[2])
+        result = answer_another_challenge(port, system["cred"], b"alice", random.Random(91))
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert result == (MSG_RESULT, b"\x00")
+    assert out.splitlines() == [f"session=0 id=alice j={system['cred'].usk.j} accepted=False", "refused=0"]
+    assert err == "" and proc.returncode == 1
+    tr = read_envelope(tr_p, KIND_TRANSCRIPT)
+    (rt,) = tr.rounds
+    assert not tr.accepted and rt.response.b != rt.challenge
+
+
 def test_cli_usage_and_io_errors(tmp_path, system):
     with pytest.raises(SystemExit) as exc:
         main(["keygen", "--m", "5"])
@@ -537,16 +594,16 @@ def test_matrix_with_rows_but_no_columns_is_refused():
 
 
 def test_commitment_not_32_bytes_is_refused(system):
-    sig, tr = system["ibs"], system["transcript"]
+    sig = system["ibs"]
     com = sig.commitments[0]
-    for bad in (dataclasses.replace(com, c1=com.c1[:31]), Commitments(com.c1[:31], com.c2 + b"\0", com.c3)):
-        bad_sig = dataclasses.replace(sig, commitments=(bad,) + sig.commitments[1:])
-        with pytest.raises(MalformedEnvelope):
-            encode(bad_sig)
-        assert not ibs_verify(system["mpk"], b"alice", b"hello", bad_sig)
-        bad_round = dataclasses.replace(tr.rounds[0], commitments=bad)
-        with pytest.raises(MalformedEnvelope):
-            encode(dataclasses.replace(tr, rounds=(bad_round,) + tr.rounds[1:]))
+    with pytest.raises(MalformedEnvelope, match="32 bytes"):
+        dataclasses.replace(com, c1=com.c1[:31])
+    with pytest.raises(MalformedEnvelope, match="32 bytes"):
+        Commitments(com.c1[:31], com.c2 + b"\0", com.c3)
+    for frame in (com.to_bytes()[:-1], com.to_bytes() + b"\0"):  # a COMMIT a byte short or long
+        with pytest.raises(MalformedEnvelope, match="32 bytes"):
+            Commitments.from_bytes(frame)
+    assert Commitments.from_bytes(com.to_bytes()) == com
     assert ibs_verify(system["mpk"], b"alice", b"hello", sig)
 
 
@@ -571,21 +628,15 @@ def test_word_arrays_outside_16_bits_are_malformed(system):
 
 
 def test_a_response_whose_parts_act_on_different_point_counts_is_malformed(system):
-    short_sigma = Response(0, BitVector.zeros(5), perm=Permutation(range(4)))
-    short_vec2 = Response(2, BitVector.zeros(5), vec2=BitVector.zeros(4))
-    for resp in (short_sigma, short_vec2):
-        with pytest.raises(MalformedEnvelope, match="opens no part"):
-            encode_response_payload(resp)
+    with pytest.raises(MalformedEnvelope, match="opens no part"):
+        Response(0, BitVector.zeros(5), perm=Permutation(range(4)))
+    with pytest.raises(MalformedEnvelope, match="opens no part"):
+        Response(2, BitVector.zeros(5), vec2=BitVector.zeros(4))
     vec = struct.pack(">I", 5) + b"\x00"
     for payload in (b"\x00" + vec + struct.pack(">I", 4) + Permutation(range(4)).words,
                     b"\x02" + vec + struct.pack(">I", 4) + b"\x00"):
         with pytest.raises(MalformedEnvelope, match="opens no part"):
             decode_response_payload(payload)
-    sig = system["ibs"]
-    ch = sig.challenges[0]
-    bad = dataclasses.replace(short_vec2 if ch == 2 else short_sigma, b=ch)
-    with pytest.raises(MalformedEnvelope, match="opens no part"):
-        encode(dataclasses.replace(sig, responses=(bad,) + sig.responses[1:]))
 
 
 def test_many_round_session_does_not_wait_on_delayed_acks(system):
@@ -759,26 +810,54 @@ def test_usk_decoder_refuses_a_counter_outside_its_range(system):
         assert decode(encode(UserCredential(dataclasses.replace(usk, j=j), mpk))).usk.j == j
 
 
+def transcript_offsets(tr):
+    """Where encode(tr) holds its accepted byte, and each round's challenge and accept flag."""
+    pos = 14 + len(wirecli._hello_payload(tr.identity, tr.j, tr.w))
+    accepted, pos, rounds = pos, pos + 5, []
+    for rt in tr.rounds:
+        ch = pos + Commitments.SIZE
+        pos = ch + 1 + len(encode_response_payload(rt.response))
+        rounds.append((ch, pos))
+        pos += 1
+    return accepted, rounds
+
+
+def patched(blob: bytes, at: int, value: int) -> bytes:
+    return blob[:at] + bytes([value]) + blob[at + 1 :]
+
+
 def test_transcript_decoder_refuses_a_verdict_that_contradicts_its_rounds(system):
     mpk, usk, honest = system["mpk"], system["cred"].usk, system["transcript"]
     assert honest.accepted and len(honest.rounds) == 9
     first_failed = dataclasses.replace(honest.rounds[0], accepted=False)
     last_failed = dataclasses.replace(honest.rounds[-1], accepted=False)
     contradictions = [
-        dataclasses.replace(honest, rounds=(first_failed, *honest.rounds[1:])),
-        dataclasses.replace(honest, accepted=False, rounds=(first_failed, *honest.rounds[1:])),
-        dataclasses.replace(honest, rounds=(*honest.rounds[:-1], last_failed)),
-        dataclasses.replace(honest, rounds=()),
+        lambda: dataclasses.replace(honest, rounds=(first_failed, *honest.rounds[1:])),
+        lambda: dataclasses.replace(honest, accepted=False, rounds=(first_failed, *honest.rounds[1:])),
+        lambda: dataclasses.replace(honest, rounds=(*honest.rounds[:-1], last_failed)),
+        lambda: dataclasses.replace(honest, rounds=()),
     ]
-    for bad in contradictions:
-        with pytest.raises(MalformedEnvelope):
-            decode(encode(bad))
+    for build in contradictions:
+        with pytest.raises(MalformedEnvelope, match="verdict contradicts"):
+            build()
     admission = Verifier(mpk, b"alice", usk.j, mpk.nied_pk.t + 1).transcript()
     cut_short = dataclasses.replace(honest, accepted=False, rounds=honest.rounds[:4])
     wrong_key = ibi_identify(usk, mpk, b"eve", random.Random(64), random.Random(65))
     assert admission.rounds == () and not wrong_key.rounds[-1].accepted
     for tr in (honest, admission, cut_short, wrong_key):
         assert decode(encode(tr)) == tr
+    # the same contradictions, each one byte patched into a valid envelope
+    (_, honest_flags), (_, cut_flags) = transcript_offsets(honest), transcript_offsets(cut_short)
+    admission_accepted, _ = transcript_offsets(admission)
+    for blob, at, value in (
+        (encode(honest), honest_flags[0][1], 0),
+        (encode(cut_short), cut_flags[0][1], 0),
+        (encode(honest), honest_flags[-1][1], 0),
+        (encode(admission), admission_accepted, 1),
+    ):
+        assert blob[at] == 1 - value
+        with pytest.raises(MalformedEnvelope, match="verdict contradicts"):
+            decode(patched(blob, at, value))
 
 
 def test_credential_encoder_refuses_what_its_decoder_refuses(system):
@@ -793,24 +872,39 @@ def test_signature_encoder_refuses_what_its_decoder_refuses(system):
     # no rounds, or a response answering another challenge than its own, used to encode
     sig = system["ibs"]
     ch = sig.challenges[0]
-    misfits = [
-        dataclasses.replace(sig, commitments=(), challenges=(), responses=()),
-        dataclasses.replace(sig, challenges=((ch + 1) % 3, *sig.challenges[1:])),
-    ]
-    for bad in misfits:
-        with pytest.raises(MalformedEnvelope):
-            encode(bad)
+    with pytest.raises(MalformedEnvelope, match="bad round count"):
+        encode(dataclasses.replace(sig, commitments=(), challenges=(), responses=()))
+    with pytest.raises(MalformedEnvelope, match="tag disagrees"):
+        dataclasses.replace(sig, challenges=((ch + 1) % 3, *sig.challenges[1:]))
+    # the decoder's half, on a valid envelope with its round count or first challenge patched
+    blob, k = encode(sig), len(sig.commitments)
+    count, first_challenge = 14 + 8 + 2 + 3, 14 + 8 + 2 + 4 + Commitments.SIZE * k
+    assert (blob[count], blob[first_challenge]) == (k, ch)
+    with pytest.raises(MalformedEnvelope, match="bad round count"):
+        decode(patched(blob, count, 0))
+    with pytest.raises(MalformedEnvelope, match="tag disagrees"):
+        decode(patched(blob, first_challenge, (ch + 1) % 3))
 
 
 def test_transcript_encoder_refuses_what_its_decoder_refuses(system):
     # an accepted session that holds a failed round used to encode
     honest = system["transcript"]
     failed = dataclasses.replace(honest.rounds[0], accepted=False)
-    with pytest.raises(MalformedEnvelope):
-        encode(dataclasses.replace(honest, rounds=(failed, *honest.rounds[1:])))
-    swapped = dataclasses.replace(honest.rounds[0], challenge=(honest.rounds[0].challenge + 1) % 3)
-    with pytest.raises(MalformedEnvelope):
-        encode(dataclasses.replace(honest, rounds=(swapped, *honest.rounds[1:])))
+    with pytest.raises(MalformedEnvelope, match="verdict contradicts"):
+        dataclasses.replace(honest, rounds=(failed, *honest.rounds[1:]))
+    ch = honest.rounds[0].challenge
+    with pytest.raises(MalformedEnvelope, match="tag disagrees"):
+        dataclasses.replace(honest.rounds[0], challenge=(ch + 1) % 3)
+    with pytest.raises(MalformedEnvelope, match="bad challenge"):
+        dataclasses.replace(failed, challenge=3)
+    # the decoder's half: a passed round's challenge patched to another, or past 2
+    blob = encode(honest)
+    _, rounds = transcript_offsets(honest)
+    assert blob[rounds[0][0]] == ch
+    with pytest.raises(MalformedEnvelope, match="tag disagrees"):
+        decode(patched(blob, rounds[0][0], (ch + 1) % 3))
+    with pytest.raises(MalformedEnvelope, match="bad challenge"):
+        decode(patched(blob, rounds[0][0], 3))
 
 
 def msk_fields(msk):
