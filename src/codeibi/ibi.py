@@ -36,6 +36,7 @@ __all__ = [
     "DOMAIN_FS",
     "IbiTranscript",
     "IbsSignature",
+    "MAX_ROUNDS",
     "MasterPublicKey",
     "MasterSecretKey",
     "Prover",
@@ -52,6 +53,7 @@ __all__ = [
 ]
 
 DOMAIN_FS = 0x03  # domain separator for derived challenge streams
+MAX_ROUNDS = 0xFFFF  # the largest k: an mpk envelope stores it as a u16
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,8 @@ class MasterPublicKey:
 
     def __post_init__(self):
         pk = self.nied_pk
-        if self.stern_rounds < 1:
-            raise ParameterError("need at least one round")
+        if not 1 <= self.stern_rounds <= MAX_ROUNDS:
+            raise ParameterError(f"round count {self.stern_rounds} outside 1..{MAX_ROUNDS}")
         if not 1 <= pk.t <= pk.n:
             raise ParameterError(f"weight bound t={pk.t} outside 1..{pk.n}")
         counter_max(pk.h_tilde.nrows)  # refuses a syndrome wider than one digest

@@ -73,7 +73,7 @@ class Commitments:
 
 @dataclass(frozen=True)
 class Response:
-    """Challenge answer; (vec, perm) for b in {0,1}, (vec, vec2) for b = 2, each on vec's points."""
+    """Challenge answer; (vec, perm) for b in {0,1}, (vec, vec2) for b = 2, on vec's points, nothing else."""
 
     b: int
     vec: BitVector
@@ -86,6 +86,8 @@ class Response:
         opened = self.perm if self.b < 2 else self.vec2
         if opened is None or opened.n != self.vec.n:
             raise MalformedEnvelope(f"response {self.b} opens no part on its vector's {self.vec.n} points")
+        if (self.vec2 if self.b < 2 else self.perm) is not None:
+            raise MalformedEnvelope(f"response {self.b} carries a part its tag does not open")
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,7 @@ left before it is used, and decoders reject anything non-canonical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import io
-import json
 import random
 import socket
 import struct
@@ -40,6 +38,7 @@ from .gf2m import FieldParams, Gf2mPoly
 from .goppa import _check_code_params, code_from_poly
 from .harness import GameConfig, brute_force_decode, estimate_costs, impersonation_game
 from .ibi import (
+    MAX_ROUNDS,
     IbiTranscript,
     IbsSignature,
     MasterPublicKey,
@@ -93,7 +92,6 @@ _HEADER = ">4sBBQ"  # magic, version, kind, body length
 _HEADER_SIZE = struct.calcsize(_HEADER)
 _MAX_WIRE_PAYLOAD = 1 << 28  # frames read by a caller that names no cap
 _MAX_WORDS = 1 << 16  # entries in a permutation or polynomial
-_MAX_ROUNDS = 1 << 20  # rounds in a signature or transcript
 
 
 class _Reader:
@@ -206,7 +204,7 @@ def decode_response_payload(payload: bytes) -> Response:
 
 
 def _check_round_count(k: int, least: int) -> None:
-    if not least <= k <= _MAX_ROUNDS:
+    if not least <= k <= MAX_ROUNDS:
         raise MalformedEnvelope(f"bad round count {k}")
 
 
@@ -489,7 +487,8 @@ def _make_rng(seed: int | None) -> random.Random:
 
 class VerifierServer:
     """Accepts identification sessions and records their transcripts; refused counts
-    the connections that ended before a session began (a bad first frame, a lost peer)."""
+    the connections that ended before a session began (a bad first frame, a lost peer).
+    A seed is for tests: a prover who knows it predicts every challenge and needs no key."""
 
     def __init__(
         self,
@@ -587,7 +586,8 @@ def _verdict(payload: bytes) -> bool:
 
 
 def run_prover(host: str, port: int, cred: UserCredential, identity: bytes, rng: random.Random) -> bool:
-    """Drive one identification session as the prover; True iff accepted."""
+    """Drive one identification session as the prover; True iff accepted.
+    rng must not replay another session's draws: one commitment opened for b=0 and b=1 gives s away."""
     prover = Prover(cred.usk, cred.mpk, rng)
     try:
         sock = socket.create_connection((host, port), timeout=60.0)
@@ -617,7 +617,7 @@ def run_prover(host: str, port: int, cred: UserCredential, identity: bytes, rng:
 
 def _parse_endpoint(text: str):
     host, sep, port = text.rpartition(":")
-    if not sep or not host or not port.isdigit():
+    if not sep or not host or not port.isascii() or not port.isdigit() or int(port) > 0xFFFF:
         raise ParameterError(f"endpoint {text!r} is not HOST:PORT")
     return host, int(port)
 
@@ -625,10 +625,6 @@ def _parse_endpoint(text: str):
 def _print_kv(pairs) -> None:
     for k, v in pairs:
         print(f"{k}={v}")
-
-
-def _json_dump(path, obj) -> None:
-    Path(path).write_text(json.dumps(dataclasses.asdict(obj), indent=2) + "\n")
 
 
 def _cmd_keygen(args) -> int:
@@ -664,7 +660,7 @@ def _cmd_extract(args) -> int:
 def _cmd_verify_serve(args) -> int:
     mpk = read_envelope(args.mpk, KIND_MPK)
     host, port = _parse_endpoint(args.listen)
-    server = VerifierServer(mpk, host, port, seed=args.seed, max_sessions=args.max_sessions)
+    server = VerifierServer(mpk, host, port, max_sessions=args.max_sessions)
     print(f"listening={server.host}:{server.port}", flush=True)
     try:
         server.serve_forever()
@@ -684,8 +680,7 @@ def _cmd_verify_serve(args) -> int:
 def _cmd_prove(args) -> int:
     cred = read_envelope(args.usk, KIND_USK)
     host, port = _parse_endpoint(args.connect)
-    rng = _make_rng(args.seed)
-    ok = run_prover(host, port, cred, args.id.encode(), rng)
+    ok = run_prover(host, port, cred, args.id.encode(), random.SystemRandom())
     print(f"accepted={ok}")
     return 0 if ok else 1
 
@@ -731,8 +726,6 @@ def _cmd_game(args) -> int:
             ("within_three_sigma", abs(res.rate - res.bound) <= res.three_sigma),
         ]
     )
-    if args.json_out:
-        _json_dump(args.json_out, res)
     return 0
 
 
@@ -751,8 +744,6 @@ def _cmd_estimate(args) -> int:
             ("isd_success_prob", f"{est.isd_success_prob:.6g}"),
         ]
     )
-    if args.json_out:
-        _json_dump(args.json_out, est)
     return 0
 
 
@@ -802,7 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-serve", help="run the verifier server")
     p.add_argument("--mpk", required=True)
     p.add_argument("--listen", required=True, metavar="HOST:PORT")
-    p.add_argument("--seed", type=int)
     p.add_argument("--max-sessions", type=int)
     p.add_argument("--transcript-out")
     p.set_defaults(func=_cmd_verify_serve)
@@ -811,7 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--usk", required=True)
     p.add_argument("--id", required=True)
     p.add_argument("--connect", required=True, metavar="HOST:PORT")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_prove)
 
     p = sub.add_parser("ibs-sign", help="sign a message under an identity")
@@ -837,7 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json-out")
     p.set_defaults(func=_cmd_game)
 
     p = sub.add_parser("estimate", help="print the closed-form cost model")
@@ -845,7 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--rounds-ibi", type=int, required=True)
     p.add_argument("--rounds-ibs", type=int, required=True)
-    p.add_argument("--json-out")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("oracle-check", help="cross-check the decoder exhaustively")

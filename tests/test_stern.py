@@ -57,6 +57,17 @@ def test_honest_round_all_challenges():
         assert verify_round(h, identifier, com, ch, resp, s.weight())
 
 
+def test_a_response_refuses_the_part_its_tag_does_not_open():
+    # Response(0, v, perm=p, vec2=u) used to build, then encode without u and decode unequal
+    h, s, _ = setup()
+    opened = {ch: stern_respond(stern_commit(h, s, random.Random(33 + ch))[0], s, ch) for ch in (0, 1, 2)}
+    for ch in (0, 1):
+        with pytest.raises(MalformedEnvelope, match="does not open"):
+            Response(ch, opened[ch].vec, perm=opened[ch].perm, vec2=opened[2].vec2)
+    with pytest.raises(MalformedEnvelope, match="does not open"):
+        Response(2, opened[2].vec, perm=opened[0].perm, vec2=opened[2].vec2)
+
+
 def test_response_contents():
     h, s, _ = setup()
     st, _ = stern_commit(h, s, random.Random(30))

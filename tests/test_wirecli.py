@@ -377,9 +377,9 @@ def test_cli_prove_against_server(tmp_path):
     mpk = read_envelope(mpk_p, KIND_MPK)
     with VerifierServer(mpk, seed=65, max_sessions=2).start() as server:
         ok = main(["prove", "--usk", str(usk_p), "--id", "carol",
-                   "--connect", f"127.0.0.1:{server.port}", "--seed", "66"])
+                   "--connect", f"127.0.0.1:{server.port}"])
         bad = main(["prove", "--usk", str(usk_p), "--id", "mallory",
-                    "--connect", f"127.0.0.1:{server.port}", "--seed", "67"])
+                    "--connect", f"127.0.0.1:{server.port}"])
     assert ok == 0 and bad == 1
     assert [tr.accepted for tr in server.sessions] == [True, False]
 
@@ -394,7 +394,7 @@ def test_cli_verify_serve_end_to_end(tmp_path, system):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "codeibi.wirecli", "verify-serve", "--mpk", str(mpk_p),
-         "--listen", "127.0.0.1:0", "--seed", "76", "--max-sessions", "1",
+         "--listen", "127.0.0.1:0", "--max-sessions", "1",
          "--transcript-out", str(tr_p)],
         stdout=subprocess.PIPE,
         text=True,
@@ -405,7 +405,7 @@ def test_cli_verify_serve_end_to_end(tmp_path, system):
         assert listening.startswith("listening=127.0.0.1:")
         port = listening.strip().rpartition(":")[2]
         assert main(["prove", "--usk", str(usk_p), "--id", "alice",
-                     "--connect", f"127.0.0.1:{port}", "--seed", "77"]) == 0
+                     "--connect", f"127.0.0.1:{port}"]) == 0
         out, _ = proc.communicate(timeout=60)
     finally:
         if proc.poll() is None:
@@ -437,7 +437,7 @@ def test_cli_verify_serve_fails_when_it_refuses_a_peer(tmp_path, system):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "codeibi.wirecli", "verify-serve", "--mpk", str(mpk_p),
-         "--listen", "127.0.0.1:0", "--seed", "78", "--max-sessions", "1"],
+         "--listen", "127.0.0.1:0", "--max-sessions", "1"],
         stdout=subprocess.PIPE,
         text=True,
         env=env,
@@ -489,7 +489,7 @@ def test_cli_verify_serve_writes_a_transcript_whose_round_answered_another_chall
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "codeibi.wirecli", "verify-serve", "--mpk", str(mpk_p),
-         "--listen", "127.0.0.1:0", "--seed", "90", "--max-sessions", "1",
+         "--listen", "127.0.0.1:0", "--max-sessions", "1",
          "--transcript-out", str(tr_p)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -525,6 +525,56 @@ def test_cli_usage_and_io_errors(tmp_path, system):
     assert main(["extract", "--msk", str(tmp_path / "missing.msk"),
                  "--mpk", str(tmp_path / "missing.mpk"), "--id", "a",
                  "--out-usk", str(tmp_path / "z")]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["prove", "--usk", "x.usk", "--id", "alice", "--connect", "127.0.0.1:1", "--seed", "4"],
+    ["verify-serve", "--mpk", "x.mpk", "--listen", "127.0.0.1:0", "--seed", "3"],
+    ["game", "--kind", "honest", "--m", "5", "--t", "2", "--rounds", "1", "--trials", "1", "--json-out", "g.json"],
+    ["estimate", "--m", "5", "--t", "2", "--rounds-ibi", "1", "--rounds-ibs", "1", "--json-out", "e.json"],
+])
+def test_cli_has_no_seeded_session_and_no_json_output(argv, tmp_path, monkeypatch, capsys):
+    # prove and verify-serve draw from SystemRandom; game and estimate print every field
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_refuses_a_port_past_65535_or_not_in_ascii_digits_as_a_usage_error(tmp_path, system):
+    # verify-serve escaped main with an OverflowError, and prove exited 3 as if it could not connect
+    mpk_p, usk_p = tmp_path / "p.mpk", tmp_path / "p.usk"
+    write_envelope(mpk_p, system["mpk"])
+    write_envelope(usk_p, system["cred"])
+    assert main(["verify-serve", "--mpk", str(mpk_p), "--listen", "127.0.0.1:99999"]) == 2
+    assert main(["prove", "--usk", str(usk_p), "--id", "alice", "--connect", "127.0.0.1:70000"]) == 2
+    # a Unicode digit that int() does not read escaped main with a ValueError
+    assert main(["prove", "--usk", str(usk_p), "--id", "alice", "--connect", "127.0.0.1:\u00b2"]) == 2
+    assert wirecli._parse_endpoint("127.0.0.1:65535") == ("127.0.0.1", 65535)
+    assert wirecli._parse_endpoint("127.0.0.1:0") == ("127.0.0.1", 0)
+
+
+def test_keygen_refuses_a_round_count_its_mpk_cannot_store(tmp_path, system):
+    # keygen --rounds 70000 built both keys, then failed to write a u16 and exited 3
+    mpk_p, msk_p = tmp_path / "k.mpk", tmp_path / "k.msk"
+    assert main(["keygen", "--m", "5", "--t", "2", "--rounds", "70000", "--seed", "1",
+                 "--out-mpk", str(mpk_p), "--out-msk", str(msk_p)]) == 2
+    assert not mpk_p.exists() and not msk_p.exists()
+    pk = system["mpk"].nied_pk
+    with pytest.raises(ParameterError, match="round count"):
+        MasterPublicKey(pk, 0x10000)
+    # a signature whose header claims more rounds than any mpk has is refused from that header
+    blob = bytearray(encode(system["ibs"]))
+    blob[24:28] = struct.pack(">I", 0x10000)
+    with pytest.raises(MalformedEnvelope, match="bad round count"):
+        decode(bytes(blob))
+
+
+def test_an_mpk_of_the_most_rounds_it_can_store_round_trips(system):
+    mpk = MasterPublicKey(system["mpk"].nied_pk, 0xFFFF)
+    assert decode(encode(mpk), KIND_MPK) == mpk
 
 
 def test_cli_extract_refuses_another_keygens_mpk(tmp_path):
